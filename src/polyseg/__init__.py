@@ -2,12 +2,13 @@
 
 The contour is an explicit closed polygon evolved by gradient descent on
 the per-vertex shape gradient of a normalized two-region energy -- no level
-sets, no curve parametrization.  Hot kernels run in a compiled extension
-when available, with a NumPy fallback (see ``polyseg.backend``).
+sets, no curve parametrization.  Region statistics come from one path,
+``SupersampledEvaluator``, which sums row prefix sums at the polygon's
+scanline crossings; its NumPy kernels live in ``polyseg.backend``.
 """
 
 from .backend import BACKEND
-from .color import multichannel_gradient, split_channels, srgb_to_lab
+from .color import srgb_to_lab
 from .energy import (
     EnergyBreakdown,
     GradientField,
@@ -90,7 +91,6 @@ __all__ = [
     "init_circle",
     "is_simple",
     "means",
-    "multichannel_gradient",
     "outward_normals",
     "polygon_area",
     "polygon_perimeter",
@@ -102,7 +102,6 @@ __all__ = [
     "resample_uniform",
     "run",
     "shape_gradient",
-    "split_channels",
     "srgb_to_lab",
     "step",
     "supersampled_energy",

@@ -35,12 +35,8 @@ def _build_parser() -> argparse.ArgumentParser:
     init.add_argument("--init-circle", metavar="CX,CY,R", help="initial circle")
     init.add_argument("--init-poly", metavar="FILE", help="initial polygon file")
     seg.add_argument("--eta", type=float, default=0.1, help="boundary-length weight")
-    seg.add_argument("--dt", type=float, default=None, help="fixed step size")
-    seg.add_argument(
-        "--dt-adaptive",
-        action="store_true",
-        help="adaptive step size (default unless --dt is given)",
-    )
+    seg.add_argument("--dt", type=float, default=None,
+                     help="fixed step size (default: adaptive)")
     seg.add_argument("--dt-cap", type=float, default=1e5)
     seg.add_argument("--iters", type=int, default=500)
     seg.add_argument("--e-thr", type=float, default=1e-4)
@@ -48,7 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
     seg.add_argument("--resample-every", type=int, default=10)
     seg.add_argument("--window", type=int, default=10)
     seg.add_argument("--snapshot-every", type=int, default=0)
-    seg.add_argument("--seed", type=int, default=0)
     seg.add_argument("--out", required=True, help="output directory")
     seg.add_argument(
         "--overlay-link",
@@ -118,14 +113,13 @@ def _cmd_segment(args) -> int:
         p0 = ensure_ccw(read_polygon(args.init_poly))
     cfg = EvolveConfig(
         n_vertices=args.vertices,
-        dt=None if args.dt_adaptive else args.dt,
+        dt=args.dt,
         dt_cap=args.dt_cap,
         eta=args.eta,
         max_iters=args.iters,
         e_thr=args.e_thr,
         resample_every=args.resample_every,
         window=args.window,
-        seed=args.seed,
     )
     os.makedirs(args.out, exist_ok=True)
     snapshots = []

@@ -1,19 +1,16 @@
-"""Channel decomposition, sRGB -> CIELAB conversion, and combined gradients.
+"""sRGB -> CIELAB conversion.
 
-Color segmentation evaluates the region terms per channel and sums the
-resulting gradients into one descent direction; the curvature term is
-geometric and enters once.  LAB channels are rescaled into [0, 1]
+Color segmentation needs no code of its own: ``shape_gradient`` on a
+three-channel ``Image`` sums the per-channel region terms and adds the
+curvature term once.  LAB channels are rescaled into [0, 1]
 (L*/100, (a*+128)/255, (b*+128)/255) so that variances stay commensurate
 with grayscale defaults.
 """
 
 import numpy as np
 
-from .energy import GradientField, means, region_shape_gradient
 from .errors import WrongColorspace
-from .geometry import Polygon, discrete_curvature, outward_normals, vertex_weights
-from .image import GRAY, LAB, RGB, Image
-from .raster import rasterize_mask, region_stats
+from .image import LAB, RGB, Image
 
 # sRGB/D65 linear RGB -> XYZ matrix and the D65 white point (2 degree observer).
 _RGB_TO_XYZ = np.array(
@@ -24,11 +21,6 @@ _RGB_TO_XYZ = np.array(
     ]
 )
 _D65 = np.array([0.95047, 1.0, 1.08883])
-
-
-def split_channels(img: Image) -> list[Image]:
-    """Split an image into single-channel grayscale-tagged images."""
-    return [Image(img.data[:, :, c].copy(), GRAY) for c in range(img.channels)]
 
 
 def srgb_to_lab(img: Image) -> Image:
@@ -57,27 +49,3 @@ def srgb_to_lab(img: Image) -> Image:
     lab[:, :, 2] = (200.0 * (fy - fz) + 128.0) / 255.0
     return Image(lab, LAB)
 
-
-def multichannel_gradient(channels: list[Image], p: Polygon, eta: float) -> GradientField:
-    """Sum of per-channel region gradients plus one curvature term.
-
-    All channels share the polygon's mask; the region part of the shape
-    gradient is computed per channel and summed, and eta * curvature is
-    added once (the boundary-length term is channel-independent).
-    """
-    if not channels:
-        raise ValueError("at least one channel required")
-    w, h = channels[0].width, channels[0].height
-    for ch in channels[1:]:
-        if (ch.width, ch.height) != (w, h):
-            raise ValueError("channels must share dimensions")
-    mask = rasterize_mask(p, w, h)
-    speeds = np.zeros(len(p))
-    for ch in channels:
-        stats = region_stats(ch, mask)
-        speeds += region_shape_gradient(ch, means(stats), stats, p.points)
-    if eta != 0.0:
-        speeds = speeds + eta * discrete_curvature(p)
-    return GradientField(
-        speeds=speeds, normals=outward_normals(p), weights=vertex_weights(p)
-    )

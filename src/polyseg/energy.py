@@ -14,8 +14,9 @@ gives the energy's directional derivative.  In compact form, per channel:
                    + (var_out - (f(x) - mu_out)^2) / area_out
 
 and the length term contributes eta * curvature.  Region means, variances
-and areas are taken from the rasterized mask so that the gradient matches
-the energy actually reported.
+and areas come from ``SupersampledEvaluator(img, 1)``, the same exact pixel
+statistics the evolution loop uses, so the gradient matches the energy
+actually reported and descended.
 """
 
 from dataclasses import dataclass
@@ -31,7 +32,7 @@ from .geometry import (
     vertex_weights,
 )
 from .image import Image, bilinear_sample
-from .raster import RegionStats, SupersampledEvaluator, rasterize_mask, region_stats
+from .raster import RegionStats, SupersampledEvaluator
 
 
 @dataclass
@@ -98,21 +99,17 @@ def energy(img: Image, p: Polygon, eta: float) -> EnergyBreakdown:
     e1/e2 are the per-channel inside/outside variances summed over
     channels; e3 is the polygon perimeter in pixels.
     """
-    mask = rasterize_mask(p, img.width, img.height)
-    stats = region_stats(img, mask)
-    return breakdown_from_stats(stats, polygon_perimeter(p), eta)
+    return supersampled_energy(img, p, eta, 1)
 
 
 def supersampled_energy(img: Image, p: Polygon, eta: float, factor: int) -> EnergyBreakdown:
     """Energy from factor^2 fractional subsamples per pixel.
 
-    factor=1 degenerates to :func:`energy` exactly.  For factor in
-    {2, 4, 8, 16} each subsample carries the bilinearly interpolated
-    intensity and contributes fractionally to the region moments; the
-    energy is assembled from those moments exactly as :func:`energy` does.
+    factor=1 is :func:`energy`.  For factor in {2, 4, 8, 16} each subsample
+    carries the bilinearly interpolated intensity and contributes
+    fractionally to the region moments; the energy is assembled from those
+    moments exactly as :func:`energy` does.
     """
-    if factor == 1:
-        return energy(img, p, eta)
     ev = SupersampledEvaluator(img, factor)
     return breakdown_from_stats(ev.stats(p), polygon_perimeter(p), eta)
 
@@ -159,8 +156,8 @@ def shape_gradient(img: Image, p: Polygon, eta: float) -> GradientField:
     speeds[i] is the normal speed of the energy at vertex i; weights[i] is
     the half-sum of the adjacent edge lengths, so speeds[i] * weights[i]
     approximates the energy's derivative under a unit normal displacement
-    of that single vertex.
+    of that single vertex.  On a multi-channel image the region part is
+    summed over channels and eta * curvature enters once.
     """
-    mask = rasterize_mask(p, img.width, img.height)
-    stats = region_stats(img, mask)
+    stats = SupersampledEvaluator(img, 1).stats(p)
     return _gradient_from_stats(img, p, eta, means(stats), stats)

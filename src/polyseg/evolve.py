@@ -1,8 +1,9 @@
 """Gradient-descent evolution of the contour polygon.
 
-Each iteration rasterizes the current polygon, accumulates region
-statistics, evaluates the energy, computes the per-vertex shape gradient,
-and moves every vertex against its normal speed:
+Each iteration takes the region statistics of the current polygon from its
+scanline crossings (``SupersampledEvaluator`` at factor 1), evaluates the
+energy, computes the per-vertex shape gradient, and moves every vertex
+against its normal speed:
 
     v_i  <-  v_i - dt * speed_i * n_i
 
@@ -13,7 +14,8 @@ no vertex moves more than half a pixel per iteration and never exceeds
 displacement-normalized steps would jitter forever).
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +34,7 @@ from .geometry import (
     resample_uniform,
 )
 from .image import Image
-from .raster import rasterize_mask, region_stats
+from .raster import SupersampledEvaluator, rasterize_mask
 
 # Abort threshold: below this many inside pixels the region statistics are
 # noise-dominated and the contour is considered collapsed.
@@ -47,7 +49,8 @@ class EvolveConfig:
     """Evolution parameters.
 
     dt=None selects the adaptive step size
-    min(dt_cap, 0.5 px / max_i |speed_i|); a positive dt fixes it.
+    min(dt_cap, 0.5 px / max_i |speed_i|); a positive dt fixes it.  dt,
+    dt_cap, eta and e_thr must be finite.
     """
 
     n_vertices: int = 100
@@ -58,9 +61,12 @@ class EvolveConfig:
     e_thr: float = 1e-4
     resample_every: int = 10
     window: int = 10
-    seed: int = 0
 
     def __post_init__(self):
+        for name in ("dt", "dt_cap", "eta", "e_thr"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if self.n_vertices < 3:
             raise ValueError("n_vertices must be at least 3")
         if self.dt is not None and self.dt <= 0:
@@ -100,7 +106,6 @@ class SegmentationResult:
     iterations_run: int
     final_simple: bool = True
     flagged_steps: int = 0
-    snapshots: list = field(default_factory=list)
 
 
 def init_circle(center, radius: float, n: int) -> Polygon:
@@ -148,23 +153,26 @@ def converged(trace: list[TraceRow], e_thr: float, window: int) -> bool:
 def run(img: Image, p0: Polygon, cfg: EvolveConfig, callback=None) -> SegmentationResult:
     """Evolve p0 on img until convergence, collapse, or max_iters.
 
-    Per iteration: rasterize -> region stats -> energy (recorded in the
-    trace) -> shape gradient -> step (with a self-intersection safeguard
-    that halves dt up to 4 times, then accepts flagged) -> periodic
-    resampling -> convergence check.  ``callback(k, polygon)``, when given,
-    is invoked with each pre-step polygon.
+    Per iteration: region stats from the polygon's scanline crossings ->
+    energy (recorded in the trace) -> shape gradient -> step (with a
+    self-intersection safeguard that halves dt up to 4 times, then accepts
+    flagged) -> periodic resampling -> convergence check.
+    ``callback(k, polygon)``, when given, is invoked with each pre-step
+    polygon.
 
     Raises
     ------
     EmptyRegion
-        If the contour collapses below 16 inside pixels (or leaves the
-        frame); ``partial`` on the exception carries the result so far.
+        If the contour collapses below 16 inside pixels, leaves the frame,
+        or covers it; ``partial`` on the exception carries the result so
+        far.
     """
     p = ensure_ccw(p0)
     w, h = img.width, img.height
     trace: list[TraceRow] = []
     flagged = 0
     did_converge = False
+    ev = SupersampledEvaluator(img, 1)
 
     def partial_result(poly):
         return SegmentationResult(
@@ -179,16 +187,15 @@ def run(img: Image, p0: Polygon, cfg: EvolveConfig, callback=None) -> Segmentati
 
     for k in range(cfg.max_iters):
         try:
-            mask = rasterize_mask(p, w, h)
+            stats = ev.stats(p)
         except EmptyRegion as exc:
             raise EmptyRegion(str(exc), partial=partial_result(p)) from None
-        inside = float(mask.sum())
+        inside = stats.area_in
         if inside < COLLAPSE_PIXELS:
             raise EmptyRegion(
                 f"contour collapsed to {int(inside)} pixels at iteration {k}",
                 partial=partial_result(p),
             )
-        stats = region_stats(img, mask)
         m = means(stats)
         eb = breakdown_from_stats(stats, polygon_perimeter(p), cfg.eta)
         if callback is not None:

@@ -1,9 +1,16 @@
-"""Rasterization of polygons into pixel masks and region moment accumulation.
+"""Region statistics of polygons, and rasterization into pixel masks.
 
-Masks are plain (H, W) boolean arrays over the image grid, with pixel
-(row r, col c) centered at (x=c, y=r).  A pixel is inside iff its center is
-inside the closed polyline under the even-odd rule; centers exactly on an
-edge follow the half-open top-left convention (see ``polyseg._core_py``).
+Pixel (row r, col c) is centered at (x=c, y=r).  A pixel is inside iff its
+center is inside the closed polyline under the even-odd rule; centers
+exactly on an edge follow the half-open top-left convention (see
+``polyseg.backend``).
+
+:class:`SupersampledEvaluator` is the one path from a polygon to its
+:class:`RegionStats`: at factor 1 it gives the exact pixel statistics the
+energy, the shape gradient and the evolution loop use, at higher factors
+the fractional ones of the gradient check.  :func:`rasterize_mask` and
+:func:`region_stats` build the same statistics through an explicit mask;
+they serve the final mask of a run and the public API.
 """
 
 from dataclasses import dataclass
@@ -109,15 +116,19 @@ def _upsample_bilinear(data: np.ndarray, factor: int) -> np.ndarray:
 
 
 class SupersampledEvaluator:
-    """Fractional region statistics on a factor-refined subsample grid.
+    """Region statistics of polygons on a factor-refined sample grid.
 
     Each pixel is split into factor^2 subsamples carrying the bilinearly
-    interpolated intensity, so region sums respond fractionally (and hence
-    near-smoothly) as the polygon moves.  This is the smooth-energy oracle
-    used by finite-difference gradient checks.
+    interpolated intensity.  At factor 1 the samples are the pixels
+    themselves and :meth:`stats` equals ``region_stats(img,
+    rasterize_mask(p, ...))``: the same inside pixels, moments up to
+    summation order.  At higher factors region sums respond fractionally
+    (and hence near-smoothly) as the polygon moves, which makes the
+    evaluator the smooth-energy oracle of finite-difference gradient checks.
 
-    The upsampled field and its row prefix sums are precomputed once per
-    (image, factor); :meth:`stats` then costs one scanline pass per call.
+    Row prefix sums of the samples and of their squares are built once per
+    (image, factor); :meth:`stats` then sums prefix differences at the
+    polygon's scanline crossings only, without touching the full frame.
     """
 
     FACTORS = (1, 2, 4, 8, 16)
@@ -127,23 +138,34 @@ class SupersampledEvaluator:
             raise ValueError(f"factor must be one of {self.FACTORS}")
         self.img = img
         self.factor = factor
-        ss = _upsample_bilinear(img.data, factor)
+        ss = img.data if factor == 1 else _upsample_bilinear(img.data, factor)
         hs, ws, c = ss.shape
-        self._prefix1 = np.zeros((hs, ws + 1, c))
-        self._prefix2 = np.zeros((hs, ws + 1, c))
+        # one block for both tables: the allocator hands a single large block
+        # back to the OS when it is freed, where two smaller ones can stay in
+        # the heap and raise the peak RSS of a process that runs many images
+        self._prefix1, self._prefix2 = np.zeros((2, hs, ws + 1, c))
         np.cumsum(ss, axis=1, out=self._prefix1[:, 1:, :])
-        np.cumsum(ss * ss, axis=1, out=self._prefix2[:, 1:, :])
+        # squares and their prefix sums in place: no (Hs, Ws, C) temporary
+        sq = self._prefix2[:, 1:, :]
+        np.multiply(ss, ss, out=sq)
+        np.cumsum(sq, axis=1, out=sq)
         self._total_sub = float(hs * ws)
         self._s1_all = self._prefix1[:, -1, :].sum(axis=0)
         self._s2_all = self._prefix2[:, -1, :].sum(axis=0)
 
     def stats(self, p: Polygon) -> RegionStats:
-        """Fractional RegionStats of the polygon, in pixel-area units."""
+        """RegionStats of the polygon, in pixel-area units.
+
+        Raises
+        ------
+        EmptyRegion
+            If either side of the polygon holds no sample.
+        """
         nsub, s1, s2 = backend.ss_stats(
             self._prefix1, self._prefix2, p.points[:, 0], p.points[:, 1], self.factor
         )
         if nsub == 0.0 or nsub == self._total_sub:
-            raise EmptyRegion("supersampled region is empty on one side")
+            raise EmptyRegion("one side of the polygon holds no sample")
         inv = 1.0 / (self.factor * self.factor)
         return RegionStats(
             area_in=nsub * inv,

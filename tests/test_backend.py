@@ -1,74 +1,26 @@
-"""Parity between the compiled kernels and the NumPy fallback."""
+"""The NumPy kernel module and the subsample grid it works on."""
 
 import numpy as np
-import pytest
 
 import polyseg as ps
-from polyseg.backend import BACKEND, available_backends
-from polyseg.raster import SupersampledEvaluator, _upsample_bilinear
+from polyseg import backend
+from polyseg.raster import _upsample_bilinear
 
-from helpers import blob_image, star_polygon
-
-BACKENDS = available_backends()
-needs_both = pytest.mark.skipif(
-    len(BACKENDS) < 2, reason="compiled extension not built"
-)
+from helpers import blob_image
 
 
 def test_backend_name_valid():
-    assert BACKEND in ("numpy", "cython")
+    assert ps.BACKEND == backend.BACKEND == "numpy"
 
 
-@needs_both
-@pytest.mark.parametrize("seed", range(30))
-def test_fill_mask_bit_parity(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(3, 80))
-    th = np.sort(rng.uniform(0, 2 * np.pi, n))
-    if np.min(np.diff(th)) < 1e-3:
-        return
-    r = rng.uniform(2, 30, n)
-    cx, cy = rng.uniform(0, 64, 2)
-    xs = cx + r * np.cos(th)
-    ys = cy + r * np.sin(th)
-    masks = [mod.fill_mask(xs, ys, 64, 64) for mod in BACKENDS.values()]
-    assert np.array_equal(masks[0], masks[1])
-
-
-@needs_both
-def test_fill_mask_integer_boundary_parity():
-    # vertices and edges exactly on pixel centers exercise the tie-break
+def test_fill_mask_half_open_box():
+    # vertices and edges exactly on pixel centers exercise the tie-break:
+    # the top and left edges are inside, the bottom and right edges outside
     xs = np.array([2.0, 10.0, 10.0, 2.0])
     ys = np.array([3.0, 3.0, 9.0, 9.0])
-    masks = [mod.fill_mask(xs, ys, 16, 16) for mod in BACKENDS.values()]
-    assert np.array_equal(masks[0], masks[1])
-    assert masks[0].sum() == (10 - 2) * (9 - 3)  # half-open box
-
-
-@needs_both
-def test_mask_stats_parity():
-    rng = np.random.default_rng(1)
-    data = rng.uniform(0, 1, (40, 30, 3))
-    mask = (rng.uniform(0, 1, (40, 30)) > 0.4).astype(np.uint8)
-    outs = [mod.mask_stats(data, mask) for mod in BACKENDS.values()]
-    for a, b in zip(*outs):
-        assert np.allclose(a, b, atol=1e-9)
-
-
-@needs_both
-@pytest.mark.parametrize("factor", [2, 8, 16])
-def test_ss_stats_parity(factor):
-    img = blob_image()
-    ev = SupersampledEvaluator(img, factor)
-    p = star_polygon(0, n=40)
-    outs = [
-        mod.ss_stats(ev._prefix1, ev._prefix2, p.points[:, 0], p.points[:, 1], factor)
-        for mod in BACKENDS.values()
-    ]
-    (n1, s1a, s2a), (n2, s1b, s2b) = outs
-    assert n1 == n2
-    assert np.allclose(s1a, s1b, atol=1e-9)
-    assert np.allclose(s2a, s2b, atol=1e-9)
+    mask = backend.fill_mask(xs, ys, 16, 16)
+    assert mask.sum() == (10 - 2) * (9 - 3)
+    assert mask[3:9, 2:10].all()
 
 
 def test_upsample_matches_bilinear_sample():

@@ -32,7 +32,7 @@ def segment_args(disk_pgm, out_dir, extra=()):
     return [
         "segment", "--input", str(disk_pgm), "--init-circle", "60,60,52",
         "--eta", "5e-4", "--iters", "80", "--vertices", "60",
-        "--seed", "1", "--out", str(out_dir), *extra,
+        "--out", str(out_dir), *extra,
     ]
 
 

@@ -5,32 +5,6 @@ import polyseg as ps
 from helpers import blob_image, lab_scalar, star_polygon
 
 
-class TestSplitChannels:
-    def test_pure_red(self):
-        data = np.zeros((4, 4, 3))
-        data[:, :, 0] = 1.0
-        chans = ps.split_channels(ps.Image(data, ps.RGB))
-        assert len(chans) == 3
-        assert np.all(chans[0].data == 1.0)
-        assert np.all(chans[1].data == 0.0)
-        assert np.all(chans[2].data == 0.0)
-        assert all(c.colorspace == ps.GRAY for c in chans)
-
-    def test_gray_singleton(self):
-        img = blob_image(8, 8)
-        chans = ps.split_channels(img)
-        assert len(chans) == 1
-        assert np.array_equal(chans[0].data, img.data)
-
-    def test_recombination_round_trip(self):
-        rng = np.random.default_rng(2)
-        data = rng.uniform(0, 1, (6, 5, 3))
-        img = ps.Image(data, ps.RGB)
-        chans = ps.split_channels(img)
-        back = np.stack([c.data[:, :, 0] for c in chans], axis=-1)
-        assert np.array_equal(back, data)
-
-
 class TestSrgbToLab:
     def test_white_and_black(self):
         img = ps.Image(np.array([[[1.0, 1, 1], [0.0, 0, 0]]]), ps.RGB)
@@ -78,48 +52,59 @@ class TestSrgbToLab:
         assert ps.srgb_to_lab(img).colorspace == ps.LAB
 
 
+def rgb_stack(*channels):
+    """A three-channel image from (H, W) or (H, W, 1) channel arrays."""
+    return ps.Image(np.dstack(channels), ps.RGB)
+
+
 class TestMultichannelGradient:
+    """shape_gradient on a stacked image sums per-channel region terms."""
+
     def test_triplicated_channels_give_three_times(self, blob64):
         p = star_polygon(1, n=30)
         single = ps.shape_gradient(blob64, p, 0.0)
-        chans = [blob64, ps.Image(blob64.data.copy(), ps.GRAY),
-                 ps.Image(blob64.data.copy(), ps.GRAY)]
-        g = ps.multichannel_gradient(chans, p, 0.0)
+        f = blob64.data
+        g = ps.shape_gradient(rgb_stack(f, f, f), p, 0.0)
         assert np.abs(g.speeds - 3.0 * single.speeds).max() < 1e-12
 
-    def test_singleton_equals_shape_gradient(self, blob64):
+    def test_constant_channels_add_nothing(self, blob64):
         p = star_polygon(3, n=24)
-        a = ps.multichannel_gradient([blob64], p, 0.05)
+        flat = np.full(blob64.data.shape[:2], 0.3)
+        a = ps.shape_gradient(rgb_stack(blob64.data, flat, flat + 0.4), p, 0.05)
         b = ps.shape_gradient(blob64, p, 0.05)
-        assert np.array_equal(a.speeds, b.speeds)
+        assert np.abs(a.speeds - b.speeds).max() < 1e-12
 
     def test_complementary_channels(self, blob64):
         # f and 1-f have identical region gradients (swap symmetry)
         p = star_polygon(5, n=24)
-        comp = ps.Image(1.0 - blob64.data, ps.GRAY)
-        g = ps.multichannel_gradient([blob64, comp], p, 0.0)
+        f = blob64.data
+        flat = np.full(f.shape[:2], 0.5)
+        g = ps.shape_gradient(rgb_stack(f, 1.0 - f, flat), p, 0.0)
         single = ps.shape_gradient(blob64, p, 0.0)
         assert np.abs(g.speeds - 2.0 * single.speeds).max() < 1e-12
 
     def test_permutation_invariance(self, blob64):
         rng = np.random.default_rng(9)
         chans = [
-            blob64,
-            ps.Image(rng.uniform(0, 1, blob64.data.shape[:2]), ps.GRAY),
-            ps.Image(rng.uniform(0, 1, blob64.data.shape[:2]), ps.GRAY),
+            blob64.data,
+            rng.uniform(0, 1, blob64.data.shape[:2]),
+            rng.uniform(0, 1, blob64.data.shape[:2]),
         ]
         p = star_polygon(4, n=20)
-        g1 = ps.multichannel_gradient(chans, p, 0.02)
-        g2 = ps.multichannel_gradient(chans[::-1], p, 0.02)
+        g1 = ps.shape_gradient(rgb_stack(*chans), p, 0.02)
+        g2 = ps.shape_gradient(rgb_stack(*chans[::-1]), p, 0.02)
         assert np.abs(g1.speeds - g2.speeds).max() < 1e-12
 
     def test_curvature_added_once(self):
-        img = ps.Image(np.full((40, 40), 0.5), ps.GRAY)
+        img = ps.Image(np.full((40, 40, 3), 0.5), ps.RGB)
         p = ps.init_circle((20, 20), 10, 30)
-        g = ps.multichannel_gradient([img, img, img], p, 0.3)
+        g = ps.shape_gradient(img, p, 0.3)
         assert np.abs(g.speeds - 0.3 / 10.0).max() < 1e-10
 
     def test_dimension_mismatch(self, blob64):
-        other = ps.Image(np.zeros((10, 10)), ps.GRAY)
+        # a channel stack must have the channel count of its colorspace
+        f = blob64.data[:, :, 0]
         with pytest.raises(ValueError):
-            ps.multichannel_gradient([blob64, other], star_polygon(0), 0.0)
+            ps.Image(np.stack([f, f], axis=-1), ps.RGB)
+        with pytest.raises(ValueError):
+            ps.Image(np.stack([f, f, f], axis=-1), ps.GRAY)

@@ -1,4 +1,5 @@
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -134,6 +135,16 @@ class TestRun:
         assert len(partial.trace) > 0
         assert not partial.converged
 
+    def test_frame_covering_start_raises_with_partial(self):
+        img = ps.Image(np.full((64, 64), 0.5), ps.GRAY)
+        p0 = ps.init_circle((32, 32), 60, 40)
+        with pytest.raises(ps.EmptyRegion) as exc_info:
+            ps.run(img, p0, ps.EvolveConfig(n_vertices=40))
+        partial = exc_info.value.partial
+        assert partial is not None
+        assert partial.iterations_run == 0
+        assert not partial.converged
+
     def test_determinism(self, disk_noisy):
         p0 = ps.init_circle((100, 100), 80, 60)
         cfg = ps.EvolveConfig(n_vertices=60, eta=5e-4, max_iters=40)
@@ -241,3 +252,9 @@ class TestEvolveConfig:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             ps.EvolveConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["dt", "dt_cap", "e_thr", "eta"])
+    def test_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            ps.EvolveConfig(**{name: value})

@@ -2,11 +2,52 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import polyseg as ps
 from helpers import brute_force_mask, naive_region_sums, star_polygon
+
+FRAME = 64
+
+
+def _field(channels):
+    rng = np.random.default_rng(channels)
+    data = rng.uniform(0, 1, (FRAME, FRAME, channels))
+    return ps.Image(data, ps.GRAY if channels == 1 else ps.RGB)
+
+
+# one gray and one 3-channel image, shared by every example
+FIELDS = {c: _field(c) for c in (1, 3)}
+
+
+@st.composite
+def star_polygons(draw):
+    """Random star polygons; centres and radii reach outside the frame."""
+    n = draw(st.integers(3, 60))
+    cx = draw(st.floats(-20, FRAME + 20))
+    cy = draw(st.floats(-20, FRAME + 20))
+    r_mean = draw(st.floats(0.5, 60))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    th = np.sort(rng.uniform(0, 2 * np.pi, n))
+    r = r_mean * rng.uniform(0.3, 1.0, n)
+    return np.column_stack([cx + r * np.cos(th), cy + r * np.sin(th)])
+
+
+@st.composite
+def lattice_polygons(draw):
+    """Closed polylines with vertices on the half-pixel lattice.
+
+    Vertices on pixel centres and edges running through them exercise the
+    half-open top-left rule; the polylines may self-intersect and leave the
+    frame.
+    """
+    coord = st.integers(-16, 2 * FRAME + 16).map(lambda v: v / 2.0)
+    pts = draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=12))
+    pts = [q for i, q in enumerate(pts) if q != pts[i - 1]]
+    assume(len(pts) >= 3)
+    return np.array(pts)
 
 
 class TestRasterizeMask:
@@ -26,6 +67,14 @@ class TestRasterizeMask:
         p = star_polygon(seed, n=30, center=(32, 32), r_mean=18, amp=0.35)
         m = ps.rasterize_mask(p, 64, 64)
         assert np.array_equal(m, brute_force_mask(p.points, 64, 64))
+
+    def test_edges_just_past_pixel_centers(self):
+        # edges 1e-17 px below row 0 and right of column 0 leave both out;
+        # the crossing arithmetic must not round the offset away
+        pts = np.array([(1e-17, 1e-17), (5, 1e-17), (5, 5), (1e-17, 5)])
+        m = ps.rasterize_mask(ps.Polygon(pts), 8, 8)
+        assert np.array_equal(m, brute_force_mask(pts, 8, 8))
+        assert m.sum() == 16
 
     def test_cyclic_rotation_invariance(self):
         p = star_polygon(9, n=24, center=(16, 16), r_mean=10)
@@ -166,3 +215,39 @@ class TestSupersampled:
         img = ps.Image(np.zeros((8, 8)), ps.GRAY)
         with pytest.raises(ValueError):
             ps.SupersampledEvaluator(img, 3)
+
+
+class TestEvaluatorMatchesMask:
+    """Factor-1 crossing stats against the mask fill plus moments sum."""
+
+    @staticmethod
+    def check(points, channels):
+        img = FIELDS[channels]
+        p = ps.Polygon(points)
+        try:
+            ref = ps.region_stats(img, ps.rasterize_mask(p, FRAME, FRAME))
+        except ps.EmptyRegion:
+            with pytest.raises(ps.EmptyRegion):
+                ps.SupersampledEvaluator(img, 1).stats(p)
+            return
+        got = ps.SupersampledEvaluator(img, 1).stats(p)
+        assert got.area_in == ref.area_in
+        assert got.area_out == ref.area_out
+        # prefix differences and a masked sum round differently; both split
+        # the same frame total, which sets the scale of the rounding
+        for name, total in (("s1", img.data.sum(axis=(0, 1))),
+                            ("s2", (img.data**2).sum(axis=(0, 1)))):
+            for side in ("in", "out"):
+                a = getattr(got, f"{name}_{side}")
+                b = getattr(ref, f"{name}_{side}")
+                assert np.all(np.abs(a - b) <= 1e-12 * total), (name, side)
+
+    @given(star_polygons(), st.sampled_from([1, 3]))
+    @settings(max_examples=80, deadline=None)
+    def test_star_polygons(self, points, channels):
+        self.check(points, channels)
+
+    @given(lattice_polygons(), st.sampled_from([1, 3]))
+    @settings(max_examples=80, deadline=None)
+    def test_lattice_polygons(self, points, channels):
+        self.check(points, channels)
