@@ -81,16 +81,17 @@ def mask_stats(data: np.ndarray, mask: np.ndarray):
     """Region moments of (H, W, C) data split by a boolean/uint8 mask.
 
     Returns (area_in, s1_in, s2_in, s1_all, s2_all) where the s-arrays are
-    per-channel sums of f and f^2.
+    per-channel sums of f and f^2.  Each channel is summed along a
+    contiguous axis, where NumPy uses pairwise summation.
     """
     h, w, c = data.shape
-    flat = data.reshape(-1, c)
+    chans = np.ascontiguousarray(np.moveaxis(data, 2, 0)).reshape(c, -1)
     m = np.asarray(mask, dtype=bool).reshape(-1)
-    sel = flat[m]
-    s1_in = sel.sum(axis=0)
-    s2_in = (sel * sel).sum(axis=0)
-    s1_all = flat.sum(axis=0)
-    s2_all = (flat * flat).sum(axis=0)
+    sel = np.compress(m, chans, axis=1)
+    s1_in = sel.sum(axis=1)
+    s2_in = (sel * sel).sum(axis=1)
+    s1_all = chans.sum(axis=1)
+    s2_all = (chans * chans).sum(axis=1)
     return float(m.sum()), s1_in, s2_in, s1_all, s2_all
 
 

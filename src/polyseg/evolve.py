@@ -25,7 +25,7 @@ from .energy import (
     breakdown_from_stats,
     means,
 )
-from .errors import EmptyRegion
+from .errors import DegeneratePolygon, EmptyRegion
 from .geometry import (
     Polygon,
     ensure_ccw,
@@ -162,12 +162,16 @@ def run(img: Image, p0: Polygon, cfg: EvolveConfig, callback=None) -> Segmentati
 
     Raises
     ------
+    DegeneratePolygon
+        If p0 is degenerate (near-zero area) or not simple.
     EmptyRegion
         If the contour collapses below 16 inside pixels, leaves the frame,
         or covers it; ``partial`` on the exception carries the result so
         far.
     """
     p = ensure_ccw(p0)
+    if not is_simple(p):
+        raise DegeneratePolygon("initial polygon is not simple")
     w, h = img.width, img.height
     trace: list[TraceRow] = []
     flagged = 0
@@ -210,15 +214,17 @@ def run(img: Image, p0: Polygon, cfg: EvolveConfig, callback=None) -> Segmentati
         else:
             dt = cfg.dt_cap
 
-        # topology safeguard: halve dt while the step self-intersects
+        # topology safeguard: halve dt while the step self-intersects, at
+        # most 4 times; a fifth non-simple candidate is kept and flagged
         p_new = step(p, g, dt, bounds=(w, h))
         halvings = 0
-        while not is_simple(p_new) and halvings < 4:
+        while not is_simple(p_new):
+            if halvings == 4:
+                flagged += 1
+                break
             dt *= 0.5
             halvings += 1
             p_new = step(p, g, dt, bounds=(w, h))
-        if halvings == 4 and not is_simple(p_new):
-            flagged += 1
 
         disp = p_new.points - p.points
         max_disp = float(np.max(np.hypot(disp[:, 0], disp[:, 1])))

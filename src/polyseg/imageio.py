@@ -130,15 +130,20 @@ def read_pnm(path) -> Image:
     return Image(data, RGB if channels == 3 else GRAY)
 
 
+def quantize8(data: np.ndarray) -> np.ndarray:
+    """Samples in [0, 1] as uint8: round(value*255) clamped to [0, 255]."""
+    return np.clip(np.rint(data * 255.0), 0, 255).astype(np.uint8)
+
+
 def write_pnm(img: Image, path, binary: bool = True) -> None:
     """Write a GRAY image as PGM or an RGB image as PPM, maxval 255.
 
-    Samples are round(value*255) clamped to [0, 255].  LAB images are
-    refused; convert or retag first.
+    Samples are quantized by :func:`quantize8`.  LAB images are refused;
+    convert or retag first.
     """
     if img.colorspace not in (GRAY, RGB):
         raise WrongColorspace(f"cannot write {img.colorspace} data as PNM")
-    quant = np.clip(np.rint(img.data * 255.0), 0, 255).astype(np.uint8)
+    quant = quantize8(img.data)
     gray = img.colorspace == GRAY
     magic = (b"P5" if gray else b"P6") if binary else (b"P2" if gray else b"P3")
     header = b"%s\n%d %d\n255\n" % (magic, img.width, img.height)

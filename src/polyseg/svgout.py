@@ -14,13 +14,13 @@ import numpy as np
 from .evolve import TraceRow
 from .geometry import Polygon
 from .image import GRAY, Image
+from .imageio import quantize8
 
 
 def _ppm_bytes(img: Image) -> bytes:
-    data = img.data
+    quant = quantize8(img.data)
     if img.colorspace == GRAY:
-        data = np.repeat(data, 3, axis=2)
-    quant = np.clip(np.rint(data * 255.0), 0, 255).astype(np.uint8)
+        quant = np.repeat(quant, 3, axis=2)
     buf = BytesIO()
     buf.write(b"P6\n%d %d\n255\n" % (img.width, img.height))
     buf.write(quant.tobytes())

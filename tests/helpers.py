@@ -34,6 +34,13 @@ def star_polygon(seed, n=40, center=(32.0, 32.0), r_mean=16.0, amp=0.14, kmax=3)
     return ps.Polygon(pts)
 
 
+def pentagram(center=(32.0, 32.0), radius=20.0) -> ps.Polygon:
+    """Five-pointed star drawn in one stroke: every edge crosses two others."""
+    th = np.pi / 2 + np.deg2rad(144.0) * np.arange(5)
+    return ps.Polygon(np.column_stack([center[0] + radius * np.cos(th),
+                                       center[1] + radius * np.sin(th)]))
+
+
 def hausdorff_to_circle(p: ps.Polygon, center, radius, samples_per_edge=8) -> float:
     """Symmetric Hausdorff distance between a polygon and a circle."""
     pts = p.points
@@ -77,6 +84,58 @@ def brute_force_mask(pts: np.ndarray, width: int, height: int) -> np.ndarray:
                         cnt += 1
             out[r, c] = cnt % 2 == 1
     return out
+
+
+def is_simple_all_pairs(p: ps.Polygon) -> bool:
+    """True iff no two non-adjacent edges intersect (even touching).
+
+    All-pairs segment intersection test, O(n^2) vectorized: the former body
+    of ``polyseg.is_simple``, kept as the differential-test oracle for the
+    orientation-table version.
+    """
+    pts = p.points
+    n = len(p)
+    a1 = pts
+    a2 = np.roll(pts, -1, axis=0)
+    iu, ju = np.triu_indices(n, k=2)
+    # (0, n-1) are adjacent through the closing edge
+    keep = ~((iu == 0) & (ju == n - 1))
+    iu, ju = iu[keep], ju[keep]
+    if iu.size == 0:
+        return True
+    p1, p2 = a1[iu], a2[iu]
+    q1, q2 = a1[ju], a2[ju]
+
+    def cross(o, a, b):
+        return (a[:, 0] - o[:, 0]) * (b[:, 1] - o[:, 1]) - (a[:, 1] - o[:, 1]) * (
+            b[:, 0] - o[:, 0]
+        )
+
+    d1 = cross(q1, q2, p1)
+    d2 = cross(q1, q2, p2)
+    d3 = cross(p1, p2, q1)
+    d4 = cross(p1, p2, q2)
+    proper = (d1 * d2 < 0) & (d3 * d4 < 0)
+    if np.any(proper):
+        return False
+
+    def on_seg(a, b, c, d):
+        # collinear c on segment a-b
+        return (
+            (d == 0)
+            & (np.minimum(a[:, 0], b[:, 0]) <= c[:, 0])
+            & (c[:, 0] <= np.maximum(a[:, 0], b[:, 0]))
+            & (np.minimum(a[:, 1], b[:, 1]) <= c[:, 1])
+            & (c[:, 1] <= np.maximum(a[:, 1], b[:, 1]))
+        )
+
+    touch = (
+        on_seg(q1, q2, p1, d1)
+        | on_seg(q1, q2, p2, d2)
+        | on_seg(p1, p2, q1, d3)
+        | on_seg(p1, p2, q2, d4)
+    )
+    return not bool(np.any(touch))
 
 
 def naive_region_sums(data: np.ndarray, mask: np.ndarray):

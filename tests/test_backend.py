@@ -1,5 +1,7 @@
 """The NumPy kernel module and the subsample grid it works on."""
 
+import math
+
 import numpy as np
 
 import polyseg as ps
@@ -34,3 +36,20 @@ def test_upsample_matches_bilinear_sample():
         y = (sr[r] + 0.5) / factor - 0.5
         ref = ps.bilinear_sample(img.data, xs, np.full(len(xs), y))
         assert np.abs(up[r, :, 0] - ref[:, 0]).max() < 1e-12
+
+
+def test_mask_stats_matches_exact_sums():
+    # 512x512x3 like the kernel probe; sums along the pixel axis must be
+    # pairwise, not accumulated one pixel row at a time
+    rng = np.random.default_rng(3)
+    data = rng.uniform(0.0, 1.0, (512, 512, 3))
+    mask = rng.uniform(size=(512, 512)) < 0.6
+    area, s1_in, s2_in, s1_all, s2_all = backend.mask_stats(data, mask)
+    assert area == mask.sum()
+    for ch in range(3):
+        vals = data[:, :, ch]
+        for got, exact in ((s1_in[ch], math.fsum(vals[mask])),
+                           (s2_in[ch], math.fsum(vals[mask] ** 2)),
+                           (s1_all[ch], math.fsum(vals.ravel())),
+                           (s2_all[ch], math.fsum(vals.ravel() ** 2))):
+            assert abs(got - exact) <= 2e-15 * exact

@@ -1,3 +1,4 @@
+import base64
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 import polyseg as ps
 from polyseg.cli import main
 
-from helpers import blob_image
+from helpers import blob_image, pentagram
 
 
 @pytest.fixture()
@@ -93,6 +94,28 @@ class TestSegment:
             snap_root = ET.parse(snap).getroot()
             assert len(snap_root.findall(".//{http://www.w3.org/2000/svg}polyline")) == 1
 
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_overlay_embeds_quantized_input(self, tmp_path, channels):
+        rng = np.random.default_rng(channels)
+        data = rng.uniform(-0.1, 1.1, (40, 50, channels))
+        img = ps.Image(np.clip(data, 0, 1), ps.GRAY if channels == 1 else ps.RGB)
+        path = tmp_path / ("in.pgm" if channels == 1 else "in.ppm")
+        ps.write_pnm(img, path)
+        out = tmp_path / "run"
+        rc = main(["segment", "--input", str(path), "--mode",
+                   "gray" if channels == 1 else "rgb", "--init-circle", "25,20,12",
+                   "--iters", "3", "--vertices", "20", "--out", str(out)])
+        assert rc == 0
+        root = ET.parse(out / "overlay.svg").getroot()
+        image = root.find("{http://www.w3.org/2000/svg}image")
+        href = image.get("{http://www.w3.org/1999/xlink}href")
+        prefix = "data:image/x-portable-pixmap;base64,"
+        assert href.startswith(prefix)
+        quant = np.array([[[min(255, max(0, round(v * 255))) for v in px] for px in row]
+                          for row in ps.read_pnm(path).data], dtype=np.uint8)
+        expected = b"P6\n50 40\n255\n" + np.repeat(quant, 3 // channels, axis=2).tobytes()
+        assert base64.b64decode(href[len(prefix):]) == expected
+
     def test_reproducible_byte_identical(self, disk_pgm, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         assert main(segment_args(disk_pgm, out1)) == 0
@@ -132,6 +155,16 @@ class TestSegment:
             "--out", str(out),
         ])
         assert rc == 0
+
+    def test_self_intersecting_init_poly_exits_one(self, disk_pgm, tmp_path):
+        poly_path = tmp_path / "star.txt"
+        ps.write_polygon(pentagram((60, 60), 40), poly_path)
+        out = tmp_path / "run"
+        rc = main([
+            "segment", "--input", str(disk_pgm), "--init-poly", str(poly_path),
+            "--eta", "5e-4", "--iters", "40", "--vertices", "40", "--out", str(out),
+        ])
+        assert rc == 1
 
     def test_lab_mode_requires_color(self, disk_pgm, tmp_path):
         rc = main([

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import polyseg as ps
-from helpers import hausdorff_to_circle
+import polyseg.evolve
+from helpers import hausdorff_to_circle, pentagram
 
 
 class TestInitCircle:
@@ -144,6 +145,31 @@ class TestRun:
         assert partial is not None
         assert partial.iterations_run == 0
         assert not partial.converged
+
+    def test_self_intersecting_start_raises(self):
+        img = ps.synth_shape("disk", 64, 64, 0.9, 0.1, {"cx": 32, "cy": 32, "r": 14})
+        p0 = pentagram()
+        assert ps.polygon_area(p0) != 0.0
+        with pytest.raises(ps.DegeneratePolygon, match="not simple"):
+            ps.run(img, p0, ps.EvolveConfig(n_vertices=40, eta=5e-4, max_iters=60))
+
+    def test_guard_called_once_per_candidate_step(self, monkeypatch):
+        # a guard that accepts the start and rejects every step: each
+        # iteration checks the step and its four halvings once each, then
+        # keeps the last one flagged
+        calls = []
+
+        def guard(p):
+            calls.append(p)
+            return len(calls) == 1
+
+        monkeypatch.setattr(polyseg.evolve, "is_simple", guard)
+        img = ps.synth_shape("disk", 64, 64, 0.9, 0.1, {"cx": 32, "cy": 32, "r": 14})
+        cfg = ps.EvolveConfig(n_vertices=40, eta=5e-4, max_iters=3)
+        res = ps.run(img, ps.init_circle((32, 32), 20, 40), cfg)
+        assert res.flagged_steps == 3
+        assert not res.final_simple
+        assert len(calls) == 1 + 3 * 5 + 1  # start, five candidates per iteration, final
 
     def test_determinism(self, disk_noisy):
         p0 = ps.init_circle((100, 100), 80, 60)

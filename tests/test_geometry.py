@@ -2,13 +2,66 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import polyseg as ps
 from polyseg.geometry import MIN_EDGE_LEN
 
-from helpers import star_polygon
+from helpers import is_simple_all_pairs, star_polygon
+
+
+def _polygon(points):
+    """Polygon of the drawn points; draws with coincident neighbours are rejected."""
+    try:
+        return ps.Polygon(points)
+    except ps.DegeneratePolygon:
+        assume(False)
+
+
+@st.composite
+def random_polygons(draw):
+    """Arbitrary float polylines, mostly self-intersecting."""
+    xy = st.floats(0, 50, allow_nan=False)
+    return draw(st.lists(st.tuples(xy, xy), min_size=3, max_size=60))
+
+
+@st.composite
+def lattice_polygons(draw):
+    """Small-integer polylines: touching vertices, collinear overlapping edges
+    and repeated non-consecutive vertices are common."""
+    return draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                         min_size=3, max_size=60))
+
+
+@st.composite
+def half_pixel_stars(draw):
+    """Star polygons with vertices rounded to the half-pixel lattice."""
+    n = draw(st.integers(3, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    th = np.sort(rng.uniform(0, 2 * np.pi, n))
+    r = rng.integers(2, 41, n) / 2.0
+    pts = np.column_stack([20 + r * np.cos(th), 20 + r * np.sin(th)])
+    return np.round(pts * 2) / 2
+
+
+@st.composite
+def pushed_circles(draw):
+    """Near-circle contours with one vertex pushed onto or across an edge.
+
+    The circle is rounded to the half-pixel lattice, so pushes to an edge's
+    endpoints or midpoint land exactly on the edge.
+    """
+    n = draw(st.integers(4, 60))
+    th = 2 * np.pi * np.arange(n) / n
+    pts = np.round(np.column_stack([20 + 15 * np.cos(th), 20 + 15 * np.sin(th)]) * 2) / 2
+    a = draw(st.integers(0, n - 1))
+    b = draw(st.integers(0, n - 1))
+    t = draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(-0.5, 1.5))
+    across = draw(st.sampled_from([0.0, 0.0, 0.25, -0.25]))
+    e = pts[(b + 1) % n] - pts[b]
+    pts[a] = pts[b] + t * e + across * np.array([e[1], -e[0]])
+    return pts
 
 
 class TestPolygonValidation:
@@ -231,6 +284,29 @@ class TestIsSimple:
         # vertex of one edge lies on a non-adjacent edge
         p = ps.Polygon([(0, 0), (4, 0), (4, 4), (2, 0.0), (0, 4)])
         assert not ps.is_simple(p)
+
+    @pytest.mark.parametrize("points, expected", [
+        # T-junction: a vertex in the interior of a non-adjacent edge
+        ([(0, 0), (6, 0), (6, 4), (4, 4), (3, 0), (2, 4), (0, 4)], False),
+        # collinear overlap: edge (3,0)-(1,0) runs along edge (0,0)-(4,0)
+        ([(0, 0), (4, 0), (4, 3), (3, 3), (3, 0), (1, 0), (1, 3), (0, 3)], False),
+        # a vertex visited twice, not consecutively (figure of eight)
+        ([(0, 0), (2, 2), (4, 0), (4, 4), (2, 2), (0, 4)], False),
+        # a triangle has no non-adjacent edges, even when collinear
+        ([(0, 0), (1, 0), (2, 0)], True),
+        # concave but simple
+        ([(0, 0), (4, 0), (4, 4), (2, 1), (0, 4)], True),
+    ])
+    def test_explicit_cases(self, points, expected):
+        p = ps.Polygon(points)
+        assert is_simple_all_pairs(p) is expected
+        assert ps.is_simple(p) is expected
+
+    @given(random_polygons() | lattice_polygons() | half_pixel_stars() | pushed_circles())
+    @settings(max_examples=600, deadline=None)
+    def test_matches_all_pairs_oracle(self, points):
+        p = _polygon(points)
+        assert ps.is_simple(p) == is_simple_all_pairs(p)
 
 
 class TestPolygonIo:
