@@ -13,7 +13,7 @@ from .energy import (
     EnergyBreakdown,
     GradientField,
     RegionMeans,
-    breakdown_from_stats,
+    breakdown_from_means,
     energy,
     means,
     region_shape_gradient,
@@ -83,7 +83,7 @@ __all__ = [
     "WrongColorspace",
     "add_gaussian_noise",
     "bilinear_sample",
-    "breakdown_from_stats",
+    "breakdown_from_means",
     "converged",
     "discrete_curvature",
     "energy",

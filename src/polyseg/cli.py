@@ -1,7 +1,9 @@
 """Command-line front end: segment, synth, and gradcheck subcommands.
 
-Exit codes are fixed for scripting: 0 success, 1 usage/I-O/parse errors,
-2 contour collapse (empty region), 3 gradient-check failure.
+Exit codes are fixed for scripting: 0 success; 1 usage, I/O, parse or
+input errors, including an unusable start polygon; 2 the contour collapsed
+or degenerated during a ``segment`` run, which writes the partial trace;
+3 gradient-check failure.
 """
 
 import argparse
@@ -10,15 +12,22 @@ import sys
 
 import numpy as np
 
-from .energy import breakdown_from_stats, shape_gradient
-from .errors import EmptyRegion, PolysegError
+from .energy import breakdown_from_means, means, shape_gradient
+from .errors import PolysegError
 from .evolve import EvolveConfig, init_circle, run, write_trace_csv
-from .geometry import Polygon, ensure_ccw, polygon_perimeter, read_polygon, write_polygon
+from .geometry import (
+    Polygon,
+    ensure_ccw,
+    polygon_perimeter,
+    read_polygon,
+    vertex_weights,
+    write_polygon,
+)
 from .image import GRAY, RGB, Image
 from .imageio import Rng, add_gaussian_noise, read_pnm, synth_shape, to_gray, write_pnm
 from .color import srgb_to_lab
 from .raster import SupersampledEvaluator
-from .svgout import energy_svg, overlay_svg
+from .svgout import data_uri, energy_svg, overlay_svg
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -77,7 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="skip vertices with |analytic| below this")
     grad.add_argument("--vertices", type=int, default=48,
                       help="vertex count for --init-circle")
-    grad.add_argument("--negate", action="store_true", help=argparse.SUPPRESS)
     return parser
 
 
@@ -130,10 +138,14 @@ def _cmd_segment(args) -> int:
 
     try:
         result = run(work, p0, cfg, callback=record)
-    except EmptyRegion as exc:
-        if exc.partial is not None and exc.partial.trace:
-            write_trace_csv(exc.partial.trace, os.path.join(args.out, "trace.csv"))
-        print(f"polyseg: contour collapsed: {exc}", file=sys.stderr)
+    except PolysegError as exc:
+        if exc.partial is None:
+            raise
+        write_trace_csv(exc.partial.trace, os.path.join(args.out, "trace.csv"))
+        print(
+            f"polyseg: run aborted after {exc.partial.iterations_run} iterations: {exc}",
+            file=sys.stderr,
+        )
         return 2
 
     write_trace_csv(result.trace, os.path.join(args.out, "trace.csv"))
@@ -145,7 +157,7 @@ def _cmd_segment(args) -> int:
 
     color_mode = args.mode in ("rgb", "lab")
     init_color, final_color = ("blue", "red") if color_mode else ("green", "yellow")
-    href = os.path.relpath(args.input, args.out) if args.overlay_link else None
+    href = os.path.relpath(args.input, args.out) if args.overlay_link else data_uri(raw)
     curves = [(poly, "#999999", 0.6) for _, poly in snapshots]
     curves.append((p0, init_color, 1.0))
     curves.append((result.final_polygon, final_color, 1.0))
@@ -189,9 +201,7 @@ def _cmd_gradcheck(args) -> int:
         p = ensure_ccw(read_polygon(args.poly))
 
     g = shape_gradient(img, p, args.eta)
-    analytic = g.speeds * g.weights
-    if args.negate:
-        analytic = -analytic
+    analytic = g.speeds * vertex_weights(p)
     ev = SupersampledEvaluator(img, args.factor)
     h = args.h
     worst = 0.0
@@ -203,7 +213,7 @@ def _cmd_gradcheck(args) -> int:
             pts = p.points.copy()
             pts[i] += sign * h * nrm
             q = Polygon(pts, copy=False)
-            eb = breakdown_from_stats(ev.stats(q), polygon_perimeter(q), args.eta)
+            eb = breakdown_from_means(means(ev.stats(q)), polygon_perimeter(q), args.eta)
             fd_vals.append(eb.total)
         fd = (fd_vals[0] - fd_vals[1]) / (2.0 * h)
         if abs(analytic[i]) > args.gate:
@@ -229,9 +239,6 @@ def main(argv=None) -> int:
         if args.command == "synth":
             return _cmd_synth(args)
         return _cmd_gradcheck(args)
-    except EmptyRegion as exc:
-        print(f"polyseg: empty region: {exc}", file=sys.stderr)
-        return 2
     except (PolysegError, OSError, ValueError) as exc:
         print(f"polyseg: error: {exc}", file=sys.stderr)
         return 1

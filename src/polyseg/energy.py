@@ -24,13 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyRegion
-from .geometry import (
-    Polygon,
-    discrete_curvature,
-    outward_normals,
-    polygon_perimeter,
-    vertex_weights,
-)
+from .geometry import Polygon, discrete_curvature, outward_normals, polygon_perimeter
 from .image import Image, bilinear_sample
 from .raster import RegionStats, SupersampledEvaluator
 
@@ -52,17 +46,15 @@ class EnergyBreakdown:
     e1: float
     e2: float
     e3: float
-    eta: float
     total: float
 
 
 @dataclass
 class GradientField:
-    """Per-vertex normal speeds with outward normals and boundary weights."""
+    """Per-vertex normal speeds with outward normals."""
 
     speeds: np.ndarray
     normals: np.ndarray
-    weights: np.ndarray
 
 
 def means(stats: RegionStats) -> RegionMeans:
@@ -85,12 +77,11 @@ def means(stats: RegionStats) -> RegionMeans:
     return RegionMeans(mu_in=mu_in, mu_out=mu_out, var_in=var_in, var_out=var_out)
 
 
-def breakdown_from_stats(stats: RegionStats, perimeter: float, eta: float) -> EnergyBreakdown:
-    """Assemble an EnergyBreakdown from region moments and a boundary length."""
-    m = means(stats)
+def breakdown_from_means(m: RegionMeans, perimeter: float, eta: float) -> EnergyBreakdown:
+    """Assemble an EnergyBreakdown from region variances and a boundary length."""
     e1 = float(np.sum(m.var_in))
     e2 = float(np.sum(m.var_out))
-    return EnergyBreakdown(e1=e1, e2=e2, e3=perimeter, eta=eta, total=e1 + e2 + eta * perimeter)
+    return EnergyBreakdown(e1=e1, e2=e2, e3=perimeter, total=e1 + e2 + eta * perimeter)
 
 
 def energy(img: Image, p: Polygon, eta: float) -> EnergyBreakdown:
@@ -111,7 +102,7 @@ def supersampled_energy(img: Image, p: Polygon, eta: float, factor: int) -> Ener
     moments exactly as :func:`energy` does.
     """
     ev = SupersampledEvaluator(img, factor)
-    return breakdown_from_stats(ev.stats(p), polygon_perimeter(p), eta)
+    return breakdown_from_means(means(ev.stats(p)), polygon_perimeter(p), eta)
 
 
 def region_shape_gradient(
@@ -145,19 +136,17 @@ def _gradient_from_stats(
     speeds = region_shape_gradient(img, m, stats, p.points)
     if eta != 0.0:
         speeds = speeds + eta * discrete_curvature(p)
-    return GradientField(
-        speeds=speeds, normals=outward_normals(p), weights=vertex_weights(p)
-    )
+    return GradientField(speeds=speeds, normals=outward_normals(p))
 
 
 def shape_gradient(img: Image, p: Polygon, eta: float) -> GradientField:
     """Per-vertex shape gradient of the energy: region part + eta * curvature.
 
-    speeds[i] is the normal speed of the energy at vertex i; weights[i] is
-    the half-sum of the adjacent edge lengths, so speeds[i] * weights[i]
-    approximates the energy's derivative under a unit normal displacement
-    of that single vertex.  On a multi-channel image the region part is
-    summed over channels and eta * curvature enters once.
+    speeds[i] is the normal speed of the energy at vertex i, a density per
+    unit boundary length: speeds[i] * vertex_weights(p)[i] approximates the
+    energy's derivative under a unit normal displacement of that single
+    vertex.  On a multi-channel image the region part is summed over
+    channels and eta * curvature enters once.
     """
     stats = SupersampledEvaluator(img, 1).stats(p)
     return _gradient_from_stats(img, p, eta, means(stats), stats)

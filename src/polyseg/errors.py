@@ -2,7 +2,14 @@
 
 
 class PolysegError(Exception):
-    """Base class for all polyseg errors."""
+    """Base class for all polyseg errors.
+
+    ``partial`` is None unless the evolution loop raised the error after
+    its start checks; it then holds the ``SegmentationResult`` accumulated
+    before the abort.
+    """
+
+    partial = None
 
 
 class DegeneratePolygon(PolysegError):
@@ -14,13 +21,8 @@ class EmptyRegion(PolysegError):
 
     Raised by rasterization when the contour encloses no pixel centers, by
     region statistics when either side is empty, and by the evolution loop
-    when the contour collapses.  In the evolution case ``partial`` carries
-    the partial result accumulated before the abort.
+    when the contour collapses.
     """
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
 
 
 class WrongColorspace(PolysegError):

@@ -19,13 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import (
-    GradientField,
-    _gradient_from_stats,
-    breakdown_from_stats,
-    means,
-)
-from .errors import DegeneratePolygon, EmptyRegion
+from .energy import GradientField, _gradient_from_stats, breakdown_from_means, means
+from .errors import DegeneratePolygon, EmptyRegion, PolysegError
 from .geometry import (
     Polygon,
     ensure_ccw,
@@ -50,7 +45,9 @@ class EvolveConfig:
 
     dt=None selects the adaptive step size
     min(dt_cap, 0.5 px / max_i |speed_i|); a positive dt fixes it.  dt,
-    dt_cap, eta and e_thr must be finite.
+    dt_cap, eta and e_thr must be finite, and eta must not be negative: a
+    negative length weight rewards longer polygons, so the energy would
+    have no lower bound.
     """
 
     n_vertices: int = 100
@@ -73,6 +70,8 @@ class EvolveConfig:
             raise ValueError("fixed dt must be positive")
         if self.dt_cap <= 0:
             raise ValueError("dt_cap must be positive")
+        if self.eta < 0:
+            raise ValueError("eta must not be negative")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if self.e_thr <= 0:
@@ -93,7 +92,6 @@ class TraceRow:
     e3: float
     total: float
     area: float
-    perimeter: float
     max_disp: float
 
 
@@ -103,9 +101,12 @@ class SegmentationResult:
     final_mask: np.ndarray
     trace: list[TraceRow]
     converged: bool
-    iterations_run: int
     final_simple: bool = True
     flagged_steps: int = 0
+
+    @property
+    def iterations_run(self) -> int:
+        return len(self.trace)
 
 
 def init_circle(center, radius: float, n: int) -> Polygon:
@@ -163,111 +164,98 @@ def run(img: Image, p0: Polygon, cfg: EvolveConfig, callback=None) -> Segmentati
     Raises
     ------
     DegeneratePolygon
-        If p0 is degenerate (near-zero area) or not simple.
-    EmptyRegion
-        If the contour collapses below 16 inside pixels, leaves the frame,
-        or covers it; ``partial`` on the exception carries the result so
-        far.
+        If p0 is degenerate (near-zero area) or not simple; ``partial`` is
+        None.
+    PolysegError
+        Any error after those start checks: ``EmptyRegion`` if the contour
+        collapses below 16 inside pixels, leaves the frame, or covers it;
+        ``DegeneratePolygon`` if a step makes two consecutive vertices
+        coincide.  ``partial`` carries the result so far, with the last
+        polygon the loop held and an empty mask.
     """
     p = ensure_ccw(p0)
     if not is_simple(p):
         raise DegeneratePolygon("initial polygon is not simple")
     w, h = img.width, img.height
+    ev = SupersampledEvaluator(img, 1)
     trace: list[TraceRow] = []
     flagged = 0
     did_converge = False
-    ev = SupersampledEvaluator(img, 1)
+    try:
+        for k in range(cfg.max_iters):
+            stats = ev.stats(p)
+            if stats.area_in < COLLAPSE_PIXELS:
+                raise EmptyRegion(
+                    f"contour collapsed to {int(stats.area_in)} pixels at iteration {k}"
+                )
+            m = means(stats)
+            eb = breakdown_from_means(m, polygon_perimeter(p), cfg.eta)
+            if callback is not None:
+                callback(k, p)
 
-    def partial_result(poly):
-        return SegmentationResult(
-            final_polygon=poly,
+            g = _gradient_from_stats(img, p, cfg.eta, m, stats)
+            max_speed = float(np.max(np.abs(g.speeds)))
+            if cfg.dt is not None:
+                dt = cfg.dt
+            elif max_speed > 0.0:
+                dt = min(cfg.dt_cap, MAX_STEP_PX / max_speed)
+            else:
+                dt = cfg.dt_cap
+
+            # topology safeguard: halve dt while the step self-intersects, at
+            # most 4 times; a fifth non-simple candidate is kept and flagged
+            p_new = step(p, g, dt, bounds=(w, h))
+            halvings = 0
+            while not is_simple(p_new):
+                if halvings == 4:
+                    flagged += 1
+                    break
+                dt *= 0.5
+                halvings += 1
+                p_new = step(p, g, dt, bounds=(w, h))
+
+            disp = p_new.points - p.points
+            max_disp = float(np.max(np.hypot(disp[:, 0], disp[:, 1])))
+            trace.append(
+                TraceRow(iter=k, e1=eb.e1, e2=eb.e2, e3=eb.e3, total=eb.total,
+                         area=stats.area_in, max_disp=max_disp)
+            )
+            p = p_new
+            if converged(trace, cfg.e_thr, cfg.window):
+                did_converge = True
+                break
+            if (k + 1) % cfg.resample_every == 0:
+                p = resample_uniform(p, cfg.n_vertices)
+        final_mask = rasterize_mask(p, w, h)
+    except PolysegError as exc:
+        exc.partial = SegmentationResult(
+            final_polygon=p,
             final_mask=np.zeros((h, w), dtype=bool),
             trace=trace,
             converged=False,
-            iterations_run=len(trace),
-            final_simple=is_simple(poly),
+            final_simple=is_simple(p),
             flagged_steps=flagged,
         )
-
-    for k in range(cfg.max_iters):
-        try:
-            stats = ev.stats(p)
-        except EmptyRegion as exc:
-            raise EmptyRegion(str(exc), partial=partial_result(p)) from None
-        inside = stats.area_in
-        if inside < COLLAPSE_PIXELS:
-            raise EmptyRegion(
-                f"contour collapsed to {int(inside)} pixels at iteration {k}",
-                partial=partial_result(p),
-            )
-        m = means(stats)
-        eb = breakdown_from_stats(stats, polygon_perimeter(p), cfg.eta)
-        if callback is not None:
-            callback(k, p)
-
-        g = _gradient_from_stats(img, p, cfg.eta, m, stats)
-        max_speed = float(np.max(np.abs(g.speeds)))
-        if cfg.dt is not None:
-            dt = cfg.dt
-        elif max_speed > 0.0:
-            dt = min(cfg.dt_cap, MAX_STEP_PX / max_speed)
-        else:
-            dt = cfg.dt_cap
-
-        # topology safeguard: halve dt while the step self-intersects, at
-        # most 4 times; a fifth non-simple candidate is kept and flagged
-        p_new = step(p, g, dt, bounds=(w, h))
-        halvings = 0
-        while not is_simple(p_new):
-            if halvings == 4:
-                flagged += 1
-                break
-            dt *= 0.5
-            halvings += 1
-            p_new = step(p, g, dt, bounds=(w, h))
-
-        disp = p_new.points - p.points
-        max_disp = float(np.max(np.hypot(disp[:, 0], disp[:, 1])))
-        trace.append(
-            TraceRow(
-                iter=k,
-                e1=eb.e1,
-                e2=eb.e2,
-                e3=eb.e3,
-                total=eb.total,
-                area=inside,
-                perimeter=eb.e3,
-                max_disp=max_disp,
-            )
-        )
-        p = p_new
-        if converged(trace, cfg.e_thr, cfg.window):
-            did_converge = True
-            break
-        if (k + 1) % cfg.resample_every == 0:
-            p = resample_uniform(p, cfg.n_vertices)
-
-    try:
-        final_mask = rasterize_mask(p, w, h)
-    except EmptyRegion as exc:
-        raise EmptyRegion(str(exc), partial=partial_result(p)) from None
+        raise
     return SegmentationResult(
         final_polygon=p,
         final_mask=final_mask,
         trace=trace,
         converged=did_converge,
-        iterations_run=len(trace),
         final_simple=is_simple(p),
         flagged_steps=flagged,
     )
 
 
 def write_trace_csv(trace: list[TraceRow], path) -> None:
-    """Write the evolution trace as CSV with 10 significant digits."""
+    """Write the evolution trace as CSV with 10 significant digits.
+
+    The perimeter column repeats e3, which is the perimeter.
+    """
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("iter,e1,e2,e3,total,area,perimeter,max_disp\n")
         for r in trace:
             fh.write(
                 f"{r.iter},{r.e1:.10g},{r.e2:.10g},{r.e3:.10g},"
-                f"{r.total:.10g},{r.area:.10g},{r.perimeter:.10g},{r.max_disp:.10g}\n"
+                f"{r.total:.10g},{r.area:.10g},{r.e3:.10g},{r.max_disp:.10g}\n"
             )

@@ -38,10 +38,6 @@ class RegionStats:
     s2_in: np.ndarray
     s2_out: np.ndarray
 
-    @property
-    def channels(self) -> int:
-        return len(self.s1_in)
-
 
 def rasterize_mask(p: Polygon, width: int, height: int) -> np.ndarray:
     """Scanline even-odd mask of the polygon over a width x height grid.
@@ -88,14 +84,16 @@ def region_stats(img: Image, mask: np.ndarray) -> RegionStats:
     )
 
 
-def _upsample_bilinear(data: np.ndarray, factor: int) -> np.ndarray:
+def _upsample_bilinear(data: np.ndarray, factor: int, out: np.ndarray) -> None:
     """Bilinear upsample of (H, W, C) data onto the subsample grid.
 
     Subsample (sr, sc) is centered at ((sc+0.5)/factor - 0.5,
     (sr+0.5)/factor - 0.5); samples outside the pixel-center frame are
-    clamped onto it, matching ``bilinear_sample``.
+    clamped onto it, matching ``bilinear_sample``.  The result is written
+    into out, an (H*factor, W*factor, C) array or view, one subsample row
+    at a time, so no temporary of the whole field is made.
     """
-    h, w, c = data.shape
+    h, w = data.shape[:2]
 
     def axis_coords(n):
         u = (np.arange(n * factor, dtype=np.float64) + 0.5) / factor - 0.5
@@ -108,11 +106,9 @@ def _upsample_bilinear(data: np.ndarray, factor: int) -> np.ndarray:
     j1 = np.minimum(j0 + 1, w - 1)
     i1 = np.minimum(i0 + 1, h - 1)
     rows = data[:, j0, :] * (1.0 - tx)[None, :, None] + data[:, j1, :] * tx[None, :, None]
-    out = (
-        rows[i0, :, :] * (1.0 - ty)[:, None, None]
-        + rows[i1, :, :] * ty[:, None, None]
-    )
-    return out
+    for sr in range(h * factor):
+        np.multiply(rows[i0[sr]], 1.0 - ty[sr], out=out[sr])
+        out[sr] += rows[i1[sr]] * ty[sr]
 
 
 class SupersampledEvaluator:
@@ -136,19 +132,24 @@ class SupersampledEvaluator:
     def __init__(self, img: Image, factor: int):
         if factor not in self.FACTORS:
             raise ValueError(f"factor must be one of {self.FACTORS}")
-        self.img = img
         self.factor = factor
-        ss = img.data if factor == 1 else _upsample_bilinear(img.data, factor)
-        hs, ws, c = ss.shape
+        h, w, c = img.data.shape
+        hs, ws = h * factor, w * factor
         # one block for both tables: the allocator hands a single large block
         # back to the OS when it is freed, where two smaller ones can stay in
         # the heap and raise the peak RSS of a process that runs many images
         self._prefix1, self._prefix2 = np.zeros((2, hs, ws + 1, c))
-        np.cumsum(ss, axis=1, out=self._prefix1[:, 1:, :])
-        # squares and their prefix sums in place: no (Hs, Ws, C) temporary
-        sq = self._prefix2[:, 1:, :]
-        np.multiply(ss, ss, out=sq)
-        np.cumsum(sq, axis=1, out=sq)
+        # samples, squares and their prefix sums in place: no (Hs, Ws, C)
+        # temporary next to the tables
+        s1, s2 = self._prefix1[:, 1:, :], self._prefix2[:, 1:, :]
+        if factor == 1:
+            np.cumsum(img.data, axis=1, out=s1)
+            np.multiply(img.data, img.data, out=s2)
+        else:
+            _upsample_bilinear(img.data, factor, out=s1)
+            np.multiply(s1, s1, out=s2)
+            np.cumsum(s1, axis=1, out=s1)
+        np.cumsum(s2, axis=1, out=s2)
         self._total_sub = float(hs * ws)
         self._s1_all = self._prefix1[:, -1, :].sum(axis=0)
         self._s2_all = self._prefix2[:, -1, :].sum(axis=0)

@@ -3,7 +3,7 @@
 Overlays are SVG 1.1 documents in pixel-center coordinates (viewBox starts
 at -0.5 so pixel (0, 0) spans [-0.5, 0.5]^2) containing one <image> for the
 raster background and one <polyline> per curve.  The raster is embedded as
-a base64 PPM data URI by default, or referenced by path.
+a base64 PPM data URI (:func:`data_uri`) or referenced by path.
 """
 
 import base64
@@ -32,16 +32,19 @@ def _points_attr(p: Polygon) -> str:
     return " ".join(f"{x:.6g},{y:.6g}" for x, y in pts)
 
 
-def overlay_svg(img: Image, curves: list, href: str | None = None) -> str:
+def data_uri(img: Image) -> str:
+    """The raster as a base64 PPM data URI, for the href of its overlays."""
+    b64 = base64.b64encode(_ppm_bytes(img)).decode("ascii")
+    return f"data:image/x-portable-pixmap;base64,{b64}"
+
+
+def overlay_svg(img: Image, curves: list, href: str) -> str:
     """Overlay document: the raster plus (polygon, color, width) curves.
 
-    href, when given, references the raster by path instead of embedding
-    the pixels as a data URI.
+    href links the raster: a path, or ``data_uri(img)``, which one caller
+    can encode once for several overlays of the same image.
     """
     w, h = img.width, img.height
-    if href is None:
-        b64 = base64.b64encode(_ppm_bytes(img)).decode("ascii")
-        href = f"data:image/x-portable-pixmap;base64,{b64}"
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" '

@@ -190,4 +190,4 @@ def disk_fixture(noise_sd=0.0, seed=42):
 
 def supersampled_total(ev, p: ps.Polygon, eta: float) -> float:
     """Total energy from a SupersampledEvaluator's fractional stats."""
-    return ps.breakdown_from_stats(ev.stats(p), ps.polygon_perimeter(p), eta).total
+    return ps.breakdown_from_means(ps.means(ev.stats(p)), ps.polygon_perimeter(p), eta).total

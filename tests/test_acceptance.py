@@ -38,7 +38,7 @@ def test_01_gradient_correctness():
         p = star_polygon(seed, n=40)
         assert ps.is_simple(p)
         g = ps.shape_gradient(img, p, eta)
-        analytic = g.speeds * g.weights
+        analytic = g.speeds * ps.vertex_weights(p)
         for i in range(len(p)):
             if abs(analytic[i]) <= 1e-4:
                 continue

@@ -28,7 +28,8 @@ def test_fill_mask_half_open_box():
 def test_upsample_matches_bilinear_sample():
     img = blob_image(16, 12)
     factor = 4
-    up = _upsample_bilinear(img.data, factor)
+    up = np.empty((12 * factor, 16 * factor, 1))
+    _upsample_bilinear(img.data, factor, out=up)
     sc = np.arange(16 * factor)
     sr = np.arange(12 * factor)
     xs = (sc + 0.5) / factor - 0.5

@@ -5,9 +5,14 @@ import numpy as np
 import pytest
 
 import polyseg as ps
+import polyseg.svgout
 from polyseg.cli import main
 
 from helpers import blob_image, pentagram
+
+SVG_IMAGE = "{http://www.w3.org/2000/svg}image"
+XLINK_HREF = "{http://www.w3.org/1999/xlink}href"
+ppm_bytes = polyseg.svgout._ppm_bytes
 
 
 @pytest.fixture()
@@ -82,17 +87,28 @@ class TestSegment:
         poly = ps.read_polygon(out / "final_polygon.txt")
         assert len(poly) == 60
 
-    def test_overlay_svg_structure(self, disk_pgm, tmp_path):
+    def test_overlay_svg_structure(self, disk_pgm, tmp_path, monkeypatch):
+        encoded = []
+
+        def counting_ppm_bytes(img):
+            encoded.append(img)
+            return ppm_bytes(img)
+
+        monkeypatch.setattr(polyseg.svgout, "_ppm_bytes", counting_ppm_bytes)
         out = tmp_path / "run"
         rc = main(segment_args(disk_pgm, out, extra=["--snapshot-every", "20"]))
         assert rc == 0
         root = ET.parse(out / "overlay.svg").getroot()
         polylines = root.findall(".//{http://www.w3.org/2000/svg}polyline")
         snapshots = list(out.glob("snapshot_*.svg"))
+        assert snapshots
         assert len(polylines) == len(snapshots) + 2  # initial + final
+        href = root.find(SVG_IMAGE).get(XLINK_HREF)
         for snap in snapshots:
             snap_root = ET.parse(snap).getroot()
             assert len(snap_root.findall(".//{http://www.w3.org/2000/svg}polyline")) == 1
+            assert snap_root.find(SVG_IMAGE).get(XLINK_HREF) == href
+        assert len(encoded) == 1  # one raster encoding serves every overlay
 
     @pytest.mark.parametrize("channels", [1, 3])
     def test_overlay_embeds_quantized_input(self, tmp_path, channels):
@@ -107,8 +123,7 @@ class TestSegment:
                    "--iters", "3", "--vertices", "20", "--out", str(out)])
         assert rc == 0
         root = ET.parse(out / "overlay.svg").getroot()
-        image = root.find("{http://www.w3.org/2000/svg}image")
-        href = image.get("{http://www.w3.org/1999/xlink}href")
+        href = root.find(SVG_IMAGE).get(XLINK_HREF)
         prefix = "data:image/x-portable-pixmap;base64,"
         assert href.startswith(prefix)
         quant = np.array([[[min(255, max(0, round(v * 255))) for v in px] for px in row]
@@ -136,6 +151,24 @@ class TestSegment:
             "--out", str(tmp_path / "o"),
         ])
         assert rc == 2
+
+    def test_degenerate_step_exits_two_with_trace(self, disk_pgm, tmp_path):
+        # the frame clamp puts two neighbouring vertices on the corner (0, 0)
+        # in the first step
+        out = tmp_path / "o"
+        rc = main([
+            "segment", "--input", str(disk_pgm), "--init-circle", "20,20,30",
+            "--eta", "5e-4", "--iters", "200", "--vertices", "60", "--out", str(out),
+        ])
+        assert rc == 2
+        lines = (out / "trace.csv").read_text().splitlines()
+        assert lines == ["iter,e1,e2,e3,total,area,perimeter,max_disp"]
+
+    def test_negative_eta_exits_one(self, disk_pgm, tmp_path, capsys):
+        # "--eta -1e-3" is already an argparse usage error: "-1e-3" reads as an option
+        rc = main(segment_args(disk_pgm, tmp_path / "o", extra=["--eta=-1e-3"]))
+        assert rc == 1
+        assert "eta must not be negative" in capsys.readouterr().err
 
     def test_usage_error_exits_one(self, disk_pgm, tmp_path):
         # both init specs at once
@@ -211,13 +244,22 @@ class TestGradcheck:
         ])
         assert rc == 0
 
-    def test_negate_exits_three(self, blob_pgm):
+    def test_error_above_threshold_exits_three(self, blob_pgm, capsys):
+        # the blob's measured max relative error is 0.041 (test_blob_passes)
         rc = main([
             "gradcheck", "--input", str(blob_pgm),
             "--init-circle", "32,32,15", "--vertices", "40",
-            "--eta", "1e-3", "--negate",
+            "--eta", "1e-3", "--threshold", "0.01",
         ])
         assert rc == 3
+        assert "(threshold 0.01)" in capsys.readouterr().out
+
+    def test_polygon_off_the_image_exits_one(self, blob_pgm):
+        # exit 2 is kept for segment runs that stop with a partial result
+        rc = main([
+            "gradcheck", "--input", str(blob_pgm), "--init-circle", "500,500,10",
+        ])
+        assert rc == 1
 
     def test_io_error_exits_one(self, tmp_path):
         rc = main([

@@ -1,11 +1,13 @@
 import csv
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import polyseg as ps
 import polyseg.evolve
+import polyseg.geometry
 from helpers import hausdorff_to_circle, pentagram
 
 
@@ -41,7 +43,6 @@ class TestStep:
         g = ps.GradientField(
             speeds=np.zeros(20),
             normals=ps.outward_normals(p),
-            weights=ps.vertex_weights(p),
         )
         q = ps.step(p, g, 123.0)
         assert np.array_equal(q.points, p.points)
@@ -51,7 +52,6 @@ class TestStep:
         g = ps.GradientField(
             speeds=np.ones(20),
             normals=ps.outward_normals(p),
-            weights=ps.vertex_weights(p),
         )
         q = ps.step(p, g, 0.0)
         assert np.array_equal(q.points, p.points)
@@ -71,7 +71,6 @@ class TestStep:
         g = ps.GradientField(
             speeds=-np.ones(16),  # outward push
             normals=ps.outward_normals(p),
-            weights=ps.vertex_weights(p),
         )
         q = ps.step(p, g, 1.0, bounds=(10, 10))
         assert q.points.min() >= 0.0
@@ -82,7 +81,7 @@ class TestStep:
 class TestConverged:
     def mkrow(self, i, total):
         return ps.TraceRow(iter=i, e1=0, e2=0, e3=0, total=total,
-                           area=0, perimeter=0, max_disp=0)
+                           area=0, max_disp=0)
 
     def test_constant_trace(self):
         trace = [self.mkrow(i, 5.0) for i in range(20)]
@@ -146,6 +145,27 @@ class TestRun:
         assert partial.iterations_run == 0
         assert not partial.converged
 
+    def test_degenerate_first_step_raises_with_partial(self):
+        # the frame clamp puts two neighbouring vertices on the corner (0, 0)
+        img = ps.synth_shape("disk", 120, 120, 0.9, 0.1, {"cx": 60, "cy": 60, "r": 35})
+        p0 = ps.init_circle((20, 20), 30, 60)
+        cfg = ps.EvolveConfig(n_vertices=60, eta=5e-4, max_iters=200)
+        with pytest.raises(ps.DegeneratePolygon, match="coincide") as exc_info:
+            ps.run(img, p0, cfg)
+        partial = exc_info.value.partial
+        assert partial is not None
+        assert partial.iterations_run == 0
+        assert np.array_equal(partial.final_polygon.points, p0.points)
+        assert not partial.converged
+
+    def test_start_errors_carry_no_partial(self):
+        img = ps.synth_shape("disk", 64, 64, 0.9, 0.1, {"cx": 32, "cy": 32, "r": 14})
+        flat = ps.Polygon([[10.0, 10.0], [20.0, 10.0], [30.0, 10.0]])
+        for p0 in (pentagram(), flat):
+            with pytest.raises(ps.DegeneratePolygon) as exc_info:
+                ps.run(img, p0, ps.EvolveConfig(n_vertices=40))
+            assert exc_info.value.partial is None
+
     def test_self_intersecting_start_raises(self):
         img = ps.synth_shape("disk", 64, 64, 0.9, 0.1, {"cx": 32, "cy": 32, "r": 14})
         p0 = pentagram()
@@ -170,6 +190,29 @@ class TestRun:
         assert res.flagged_steps == 3
         assert not res.final_simple
         assert len(calls) == 1 + 3 * 5 + 1  # start, five candidates per iteration, final
+
+    def test_means_once_and_no_weights_per_iteration(self, monkeypatch):
+        counts = {"means": 0, "vertex_weights": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        # the package attribute ``polyseg.energy`` is the function
+        energy_mod = sys.modules["polyseg.energy"]
+        means = counting("means", energy_mod.means)
+        weights = counting("vertex_weights", polyseg.geometry.vertex_weights)
+        for mod in (energy_mod, polyseg.evolve):
+            monkeypatch.setattr(mod, "means", means)
+        for mod in (polyseg.geometry, energy_mod, polyseg.evolve):
+            monkeypatch.setattr(mod, "vertex_weights", weights, raising=False)
+        img = ps.synth_shape("disk", 64, 64, 0.9, 0.1, {"cx": 32, "cy": 32, "r": 14})
+        cfg = ps.EvolveConfig(n_vertices=40, eta=5e-4, max_iters=7)
+        res = ps.run(img, ps.init_circle((32, 32), 20, 40), cfg)
+        assert res.iterations_run == 7
+        assert counts == {"means": 7, "vertex_weights": 0}
 
     def test_determinism(self, disk_noisy):
         p0 = ps.init_circle((100, 100), 80, 60)
@@ -273,6 +316,7 @@ class TestEvolveConfig:
             {"max_iters": 0},
             {"e_thr": 0.0},
             {"resample_every": 0},
+            {"eta": -1e-3},
         ],
     )
     def test_invalid(self, kwargs):
