@@ -5,6 +5,8 @@ the per-vertex shape gradient of a normalized two-region energy -- no level
 sets, no curve parametrization.  Region statistics come from one path,
 ``SupersampledEvaluator``, which sums row prefix sums at the polygon's
 scanline crossings; its NumPy kernels live in ``polyseg.backend``.
+``supersampled_energy`` turns an evaluator's statistics into an energy,
+and ``bilinear_sample`` and the supersampled field share one cell rule.
 """
 
 from .backend import BACKEND
@@ -54,7 +56,7 @@ from .geometry import (
 )
 from .image import GRAY, LAB, RGB, Image, bilinear_sample
 from .imageio import Rng, add_gaussian_noise, read_pnm, synth_shape, to_gray, write_pnm
-from .raster import RegionStats, SupersampledEvaluator, rasterize_mask, region_stats
+from .raster import RegionStats, SupersampledEvaluator, rasterize_mask
 
 __version__ = "0.1.0"
 
@@ -98,7 +100,6 @@ __all__ = [
     "read_pnm",
     "read_polygon",
     "region_shape_gradient",
-    "region_stats",
     "resample_uniform",
     "run",
     "shape_gradient",

@@ -13,7 +13,9 @@ Every polygon-to-region computation goes through one crossing rule:
 
 At factor 1 the sample grid is the pixel grid and coordinates are used
 as given, so :func:`ss_stats` selects exactly the pixels :func:`fill_mask`
-sets; :func:`mask_stats` sums the moments under such a mask.
+sets.  Every region statistic of the package comes from :func:`ss_stats`;
+nothing in the package calls :func:`mask_stats`, which serves the tests'
+mask-based oracle and a perfbench probe.
 """
 
 import numpy as np
@@ -82,7 +84,8 @@ def mask_stats(data: np.ndarray, mask: np.ndarray):
 
     Returns (area_in, s1_in, s2_in, s1_all, s2_all) where the s-arrays are
     per-channel sums of f and f^2.  Each channel is summed along a
-    contiguous axis, where NumPy uses pairwise summation.
+    contiguous axis, where NumPy uses pairwise summation.  Nothing in the
+    package calls it.
     """
     h, w, c = data.shape
     chans = np.ascontiguousarray(np.moveaxis(data, 2, 0)).reshape(c, -1)

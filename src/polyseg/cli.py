@@ -7,22 +7,16 @@ or degenerated during a ``segment`` run, which writes the partial trace;
 """
 
 import argparse
+import math
 import os
 import sys
 
 import numpy as np
 
-from .energy import breakdown_from_means, means, shape_gradient
+from .energy import shape_gradient, supersampled_energy
 from .errors import PolysegError
 from .evolve import EvolveConfig, init_circle, run, write_trace_csv
-from .geometry import (
-    Polygon,
-    ensure_ccw,
-    polygon_perimeter,
-    read_polygon,
-    vertex_weights,
-    write_polygon,
-)
+from .geometry import Polygon, ensure_ccw, read_polygon, vertex_weights, write_polygon
 from .image import GRAY, RGB, Image
 from .imageio import Rng, add_gaussian_noise, read_pnm, synth_shape, to_gray, write_pnm
 from .color import srgb_to_lab
@@ -192,6 +186,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if not (math.isfinite(args.h) and args.h > 0):
+        raise ValueError("--h must be positive and finite")
     raw = read_pnm(args.input)
     img = to_gray(raw) if raw.colorspace == RGB else raw
     if args.init_circle:
@@ -212,9 +208,7 @@ def _cmd_gradcheck(args) -> int:
         for sign in (+1.0, -1.0):
             pts = p.points.copy()
             pts[i] += sign * h * nrm
-            q = Polygon(pts, copy=False)
-            eb = breakdown_from_means(means(ev.stats(q)), polygon_perimeter(q), args.eta)
-            fd_vals.append(eb.total)
+            fd_vals.append(supersampled_energy(ev, Polygon(pts), args.eta).total)
         fd = (fd_vals[0] - fd_vals[1]) / (2.0 * h)
         if abs(analytic[i]) > args.gate:
             rel = abs(analytic[i] - fd) / abs(analytic[i])

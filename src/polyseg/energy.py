@@ -16,7 +16,9 @@ gives the energy's directional derivative.  In compact form, per channel:
 and the length term contributes eta * curvature.  Region means, variances
 and areas come from ``SupersampledEvaluator(img, 1)``, the same exact pixel
 statistics the evolution loop uses, so the gradient matches the energy
-actually reported and descended.
+actually reported and descended.  Outside the evolution loop, which reuses
+the means for the gradient, only :func:`supersampled_energy` builds an
+:class:`EnergyBreakdown`.
 """
 
 from dataclasses import dataclass
@@ -90,18 +92,17 @@ def energy(img: Image, p: Polygon, eta: float) -> EnergyBreakdown:
     e1/e2 are the per-channel inside/outside variances summed over
     channels; e3 is the polygon perimeter in pixels.
     """
-    return supersampled_energy(img, p, eta, 1)
+    return supersampled_energy(SupersampledEvaluator(img, 1), p, eta)
 
 
-def supersampled_energy(img: Image, p: Polygon, eta: float, factor: int) -> EnergyBreakdown:
-    """Energy from factor^2 fractional subsamples per pixel.
+def supersampled_energy(ev: SupersampledEvaluator, p: Polygon, eta: float) -> EnergyBreakdown:
+    """Energy of a polygon from the region statistics of an evaluator.
 
-    factor=1 is :func:`energy`.  For factor in {2, 4, 8, 16} each subsample
+    At factor 1 this is :func:`energy`.  At factors 2-16 each subsample
     carries the bilinearly interpolated intensity and contributes
-    fractionally to the region moments; the energy is assembled from those
-    moments exactly as :func:`energy` does.
+    fractionally to the region moments, which gives the smooth energy of
+    the gradient check.
     """
-    ev = SupersampledEvaluator(img, factor)
     return breakdown_from_means(means(ev.stats(p)), polygon_perimeter(p), eta)
 
 

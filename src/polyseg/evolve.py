@@ -118,21 +118,36 @@ def init_circle(center, radius: float, n: int) -> Polygon:
     theta = 2.0 * np.pi * np.arange(n) / n
     cx, cy = float(center[0]), float(center[1])
     pts = np.column_stack([cx + radius * np.cos(theta), cy + radius * np.sin(theta)])
-    return Polygon(pts, copy=False)
+    return Polygon(pts)
+
+
+def _moved(p: Polygon, g: GradientField, dt: float, bounds) -> np.ndarray:
+    """Vertices after one descent update, clamped to the frame when bounded."""
+    pts = p.points - dt * g.speeds[:, None] * g.normals
+    if bounds is not None:
+        w, h = bounds
+        pts[:, 0] = np.clip(pts[:, 0], 0.0, w - 1.0)
+        pts[:, 1] = np.clip(pts[:, 1], 0.0, h - 1.0)
+    return pts
 
 
 def step(p: Polygon, g: GradientField, dt: float, bounds=None) -> Polygon:
     """One descent update: v_i - dt * speed_i * n_i, clamped to the frame.
 
     bounds, when given, is (width, height); coordinates are clamped to
-    [0, W-1] x [0, H-1].
+    [0, W-1] x [0, H-1].  The clamp can put neighbouring vertices on one
+    frame corner: every vertex that lands exactly on its successor (closing
+    edge included) is dropped, and the next resample restores the vertex
+    count.
+
+    Raises
+    ------
+    DegeneratePolygon
+        If fewer than 3 vertices are left.
     """
-    pts = p.points - dt * g.speeds[:, None] * g.normals
-    if bounds is not None:
-        w, h = bounds
-        pts[:, 0] = np.clip(pts[:, 0], 0.0, w - 1.0)
-        pts[:, 1] = np.clip(pts[:, 1], 0.0, h - 1.0)
-    return Polygon(pts, copy=False)
+    pts = _moved(p, g, dt, bounds)
+    successors = np.concatenate((pts[1:], pts[:1]))
+    return Polygon(pts[(pts != successors).any(axis=1)])
 
 
 def converged(trace: list[TraceRow], e_thr: float, window: int) -> bool:
@@ -169,9 +184,9 @@ def run(img: Image, p0: Polygon, cfg: EvolveConfig, callback=None) -> Segmentati
     PolysegError
         Any error after those start checks: ``EmptyRegion`` if the contour
         collapses below 16 inside pixels, leaves the frame, or covers it;
-        ``DegeneratePolygon`` if a step makes two consecutive vertices
-        coincide.  ``partial`` carries the result so far, with the last
-        polygon the loop held and an empty mask.
+        ``DegeneratePolygon`` if a step leaves fewer than 3 vertices.
+        ``partial`` carries the result so far, with the last polygon the
+        loop held and an empty mask.
     """
     p = ensure_ccw(p0)
     if not is_simple(p):
@@ -214,7 +229,9 @@ def run(img: Image, p0: Polygon, cfg: EvolveConfig, callback=None) -> Segmentati
                 halvings += 1
                 p_new = step(p, g, dt, bounds=(w, h))
 
-            disp = p_new.points - p.points
+            # a vertex that step dropped moved too
+            moved = p_new.points if len(p_new) == len(p) else _moved(p, g, dt, (w, h))
+            disp = moved - p.points
             max_disp = float(np.max(np.hypot(disp[:, 0], disp[:, 1])))
             trace.append(
                 TraceRow(iter=k, e1=eb.e1, e2=eb.e2, e3=eb.e3, total=eb.total,

@@ -33,8 +33,8 @@ class Polygon:
 
     __slots__ = ("points",)
 
-    def __init__(self, points, copy: bool = True):
-        pts = np.array(points, dtype=np.float64, copy=copy)
+    def __init__(self, points):
+        pts = np.array(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise DegeneratePolygon("polygon requires an (n, 2) vertex array")
         if pts.shape[0] < 3:
@@ -83,7 +83,7 @@ def ensure_ccw(p: Polygon) -> Polygon:
     if a > 0:
         return p
     pts = p.points
-    return Polygon(np.concatenate([pts[:1], pts[1:][::-1]]), copy=False)
+    return Polygon(np.concatenate([pts[:1], pts[1:][::-1]]))
 
 
 def outward_normals(p: Polygon) -> np.ndarray:
@@ -170,7 +170,7 @@ def resample_uniform(p: Polygon, n_target: int) -> Polygon:
     t = np.arange(n_target) * (perim / n_target)
     xs = np.interp(t, cum, closed[:, 0])
     ys = np.interp(t, cum, closed[:, 1])
-    return Polygon(np.column_stack([xs, ys]), copy=False)
+    return Polygon(np.column_stack([xs, ys]))
 
 
 def is_simple(p: Polygon) -> bool:

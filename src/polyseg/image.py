@@ -56,6 +56,18 @@ class Image:
         return self.data.shape[2]
 
 
+def _cell(u, n: int):
+    """Interpolation cells of coordinates u on an axis of n samples.
+
+    u is clamped onto [0, n-1] first.  Returns (i0, i1, t): the samples on
+    either side of each coordinate (i1 = i0 + 1, or i0 itself on a
+    one-sample axis) and t = u - i0, the weight of i1.
+    """
+    u = np.clip(u, 0.0, n - 1.0)
+    i0 = np.clip(np.floor(u).astype(np.int64), 0, max(n - 2, 0))
+    return i0, np.minimum(i0 + 1, n - 1), u - i0
+
+
 def bilinear_sample(data: np.ndarray, xs, ys) -> np.ndarray:
     """Sample (H, W, C) data at continuous points, clamped at the borders.
 
@@ -66,14 +78,9 @@ def bilinear_sample(data: np.ndarray, xs, ys) -> np.ndarray:
     if data.ndim == 2:
         data = data[:, :, None]
     h, w = data.shape[:2]
-    xs = np.clip(np.atleast_1d(np.asarray(xs, dtype=np.float64)), 0.0, w - 1.0)
-    ys = np.clip(np.atleast_1d(np.asarray(ys, dtype=np.float64)), 0.0, h - 1.0)
-    x0 = np.clip(np.floor(xs).astype(np.int64), 0, max(w - 2, 0))
-    y0 = np.clip(np.floor(ys).astype(np.int64), 0, max(h - 2, 0))
-    tx = (xs - x0)[:, None]
-    ty = (ys - y0)[:, None]
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
+    x0, x1, tx = _cell(np.atleast_1d(np.asarray(xs, dtype=np.float64)), w)
+    y0, y1, ty = _cell(np.atleast_1d(np.asarray(ys, dtype=np.float64)), h)
+    tx, ty = tx[:, None], ty[:, None]
     top = (1.0 - tx) * data[y0, x0] + tx * data[y0, x1]
     bot = (1.0 - tx) * data[y1, x0] + tx * data[y1, x1]
     return (1.0 - ty) * top + ty * bot

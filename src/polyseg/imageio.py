@@ -89,7 +89,8 @@ def read_pnm(path) -> Image:
     Raises
     ------
     ParseError
-        Malformed header or truncated payload.
+        Malformed header, truncated payload, or a sample outside
+        [0, maxval].
     UnsupportedFormat
         P1/P4 bitmaps and P7 (PAM).
     """
@@ -114,7 +115,8 @@ def read_pnm(path) -> Image:
     if magic in (b"P2", b"P3"):
         vals = np.empty(count, dtype=np.float64)
         for k in range(count):
-            vals[k] = tok.next_int()
+            # capped so that a sample too large for a float is rejected below
+            vals[k] = min(tok.next_int(), maxval + 1)
     else:
         # exactly one whitespace byte separates maxval from the payload
         if tok.pos >= len(raw) or not raw[tok.pos : tok.pos + 1].isspace():
@@ -124,7 +126,9 @@ def read_pnm(path) -> Image:
         need = count * dtype.itemsize
         if len(payload) < need:
             raise ParseError("truncated PNM payload")
-        vals = np.frombuffer(payload[:need], dtype=dtype).astype(np.float64)
+        vals = np.frombuffer(payload[:need], dtype=dtype)
+    if vals.min() < 0 or vals.max() > maxval:
+        raise ParseError(f"PNM sample outside [0, {maxval}]")
 
     data = (vals / float(maxval)).reshape(height, width, channels)
     return Image(data, RGB if channels == 3 else GRAY)

@@ -8,9 +8,8 @@ exactly on an edge follow the half-open top-left convention (see
 :class:`SupersampledEvaluator` is the one path from a polygon to its
 :class:`RegionStats`: at factor 1 it gives the exact pixel statistics the
 energy, the shape gradient and the evolution loop use, at higher factors
-the fractional ones of the gradient check.  :func:`rasterize_mask` and
-:func:`region_stats` build the same statistics through an explicit mask;
-they serve the final mask of a run and the public API.
+the fractional ones of the gradient check.  :func:`rasterize_mask` selects
+the same pixels as an explicit mask; it serves the final mask of a run.
 """
 
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ import numpy as np
 from . import backend
 from .errors import EmptyRegion
 from .geometry import Polygon
-from .image import Image
+from .image import Image, _cell
 
 
 @dataclass
@@ -58,53 +57,22 @@ def rasterize_mask(p: Polygon, width: int, height: int) -> np.ndarray:
     return mask
 
 
-def region_stats(img: Image, mask: np.ndarray) -> RegionStats:
-    """Exact per-channel moment sums over the inside/outside pixel sets.
-
-    Raises
-    ------
-    EmptyRegion
-        If either side of the mask has zero pixels.
-    """
-    if mask.shape != (img.height, img.width):
-        raise ValueError("mask dimensions must match the image")
-    area_in, s1_in, s2_in, s1_all, s2_all = backend.mask_stats(
-        img.data, np.ascontiguousarray(mask, dtype=np.uint8)
-    )
-    area_out = float(img.width * img.height) - area_in
-    if area_in == 0.0 or area_out == 0.0:
-        raise EmptyRegion("one side of the mask has no pixels")
-    return RegionStats(
-        area_in=area_in,
-        area_out=area_out,
-        s1_in=s1_in,
-        s1_out=s1_all - s1_in,
-        s2_in=s2_in,
-        s2_out=s2_all - s2_in,
-    )
-
-
 def _upsample_bilinear(data: np.ndarray, factor: int, out: np.ndarray) -> None:
     """Bilinear upsample of (H, W, C) data onto the subsample grid.
 
     Subsample (sr, sc) is centered at ((sc+0.5)/factor - 0.5,
-    (sr+0.5)/factor - 0.5); samples outside the pixel-center frame are
-    clamped onto it, matching ``bilinear_sample``.  The result is written
-    into out, an (H*factor, W*factor, C) array or view, one subsample row
-    at a time, so no temporary of the whole field is made.
+    (sr+0.5)/factor - 0.5) and interpolated on the same clamped cells as
+    ``bilinear_sample``.  The result is written into out, an (H*factor,
+    W*factor, C) array or view, one subsample row at a time, so no
+    temporary of the whole field is made.
     """
     h, w = data.shape[:2]
 
-    def axis_coords(n):
-        u = (np.arange(n * factor, dtype=np.float64) + 0.5) / factor - 0.5
-        u = np.clip(u, 0.0, n - 1.0)
-        i0 = np.clip(np.floor(u).astype(np.int64), 0, max(n - 2, 0))
-        return i0, u - i0
+    def centers(n):
+        return (np.arange(n * factor, dtype=np.float64) + 0.5) / factor - 0.5
 
-    j0, tx = axis_coords(w)
-    i0, ty = axis_coords(h)
-    j1 = np.minimum(j0 + 1, w - 1)
-    i1 = np.minimum(i0 + 1, h - 1)
+    j0, j1, tx = _cell(centers(w), w)
+    i0, i1, ty = _cell(centers(h), h)
     rows = data[:, j0, :] * (1.0 - tx)[None, :, None] + data[:, j1, :] * tx[None, :, None]
     for sr in range(h * factor):
         np.multiply(rows[i0[sr]], 1.0 - ty[sr], out=out[sr])
@@ -116,11 +84,11 @@ class SupersampledEvaluator:
 
     Each pixel is split into factor^2 subsamples carrying the bilinearly
     interpolated intensity.  At factor 1 the samples are the pixels
-    themselves and :meth:`stats` equals ``region_stats(img,
-    rasterize_mask(p, ...))``: the same inside pixels, moments up to
-    summation order.  At higher factors region sums respond fractionally
-    (and hence near-smoothly) as the polygon moves, which makes the
-    evaluator the smooth-energy oracle of finite-difference gradient checks.
+    themselves and :meth:`stats` sums the moments over exactly the pixels
+    ``rasterize_mask`` sets.  At higher factors region sums respond
+    fractionally (and hence near-smoothly) as the polygon moves, which
+    makes the evaluator the smooth-energy oracle of finite-difference
+    gradient checks.
 
     Row prefix sums of the samples and of their squares are built once per
     (image, factor); :meth:`stats` then sums prefix differences at the

@@ -3,6 +3,7 @@
 import numpy as np
 
 import polyseg as ps
+from polyseg import backend
 
 
 def blob_image(w: int = 64, h: int = 64) -> ps.Image:
@@ -138,6 +139,36 @@ def is_simple_all_pairs(p: ps.Polygon) -> bool:
     return not bool(np.any(touch))
 
 
+def region_stats(img: ps.Image, mask: np.ndarray) -> ps.RegionStats:
+    """Exact per-channel moment sums over the inside/outside pixel sets.
+
+    The former ``polyseg.region_stats``: moments under an explicit mask,
+    summed by ``backend.mask_stats``, kept as the mask-based oracle of the
+    crossing-based ``SupersampledEvaluator``.
+
+    Raises
+    ------
+    EmptyRegion
+        If either side of the mask has zero pixels.
+    """
+    if mask.shape != (img.height, img.width):
+        raise ValueError("mask dimensions must match the image")
+    area_in, s1_in, s2_in, s1_all, s2_all = backend.mask_stats(
+        img.data, np.ascontiguousarray(mask, dtype=np.uint8)
+    )
+    area_out = float(img.width * img.height) - area_in
+    if area_in == 0.0 or area_out == 0.0:
+        raise ps.EmptyRegion("one side of the mask has no pixels")
+    return ps.RegionStats(
+        area_in=area_in,
+        area_out=area_out,
+        s1_in=s1_in,
+        s1_out=s1_all - s1_in,
+        s2_in=s2_in,
+        s2_out=s2_all - s2_in,
+    )
+
+
 def naive_region_sums(data: np.ndarray, mask: np.ndarray):
     """Double-loop accumulation oracle for region statistics."""
     h, w, c = data.shape
@@ -190,4 +221,4 @@ def disk_fixture(noise_sd=0.0, seed=42):
 
 def supersampled_total(ev, p: ps.Polygon, eta: float) -> float:
     """Total energy from a SupersampledEvaluator's fractional stats."""
-    return ps.breakdown_from_means(ps.means(ev.stats(p)), ps.polygon_perimeter(p), eta).total
+    return ps.supersampled_energy(ev, p, eta).total

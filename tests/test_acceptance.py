@@ -75,8 +75,8 @@ def test_02_area_derivative_law():
             minus = p.points.copy()
             minus[i] -= delta * nrm[i]
             fd = (
-                ps.polygon_area(ps.Polygon(plus, copy=False))
-                - ps.polygon_area(ps.Polygon(minus, copy=False))
+                ps.polygon_area(ps.Polygon(plus))
+                - ps.polygon_area(ps.Polygon(minus))
             ) / (2 * delta)
             rel = abs(fd - w[i]) / w[i]
             worst = max(worst, rel)

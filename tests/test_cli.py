@@ -1,10 +1,14 @@
 import base64
+import os
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
 import polyseg as ps
+import polyseg.backend
+import polyseg.evolve
 import polyseg.svgout
 from polyseg.cli import main
 
@@ -152,9 +156,11 @@ class TestSegment:
         ])
         assert rc == 2
 
-    def test_degenerate_step_exits_two_with_trace(self, disk_pgm, tmp_path):
-        # the frame clamp puts two neighbouring vertices on the corner (0, 0)
-        # in the first step
+    def test_degenerate_step_exits_two_with_trace(self, disk_pgm, tmp_path, monkeypatch):
+        def degenerate_step(*args, **kwargs):
+            raise ps.DegeneratePolygon("consecutive vertices coincide")
+
+        monkeypatch.setattr(polyseg.evolve, "step", degenerate_step)
         out = tmp_path / "o"
         rc = main([
             "segment", "--input", str(disk_pgm), "--init-circle", "20,20,30",
@@ -163,6 +169,43 @@ class TestSegment:
         assert rc == 2
         lines = (out / "trace.csv").read_text().splitlines()
         assert lines == ["iter,e1,e2,e3,total,area,perimeter,max_disp"]
+
+    @pytest.mark.parametrize("circle", ["20,20,30", "100,100,40"])
+    def test_clamp_onto_frame_corner_runs_on(self, disk_pgm, tmp_path, capsys, circle):
+        # the first step clamps neighbouring vertices onto one frame corner
+        out = tmp_path / "o"
+        rc = main([
+            "segment", "--input", str(disk_pgm), "--init-circle", circle,
+            "--eta", "5e-4", "--iters", "200", "--vertices", "60", "--out", str(out),
+        ])
+        assert rc == 0
+        reported = int(re.search(r"after (\d+) iterations", capsys.readouterr().out)[1])
+        lines = (out / "trace.csv").read_text().splitlines()
+        assert len(lines) == reported + 1
+        assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(reported))
+
+    def test_overlay_link_writes_relative_href(self, disk_pgm, tmp_path):
+        out = tmp_path / "run"
+        rc = main(segment_args(disk_pgm, out, extra=["--overlay-link", "--snapshot-every", "20"]))
+        assert rc == 0
+        snapshots = list(out.glob("snapshot_*.svg"))
+        assert snapshots
+        for svg in [out / "overlay.svg", *snapshots]:
+            assert ET.parse(svg).getroot().find(SVG_IMAGE).get(XLINK_HREF) == os.path.relpath(
+                disk_pgm, out
+            )
+            assert "data:" not in svg.read_text()
+
+    def test_runs_without_mask_stats(self, disk_pgm, blob_pgm, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("mask_stats called")
+
+        monkeypatch.setattr(polyseg.backend, "mask_stats", fail)
+        assert main(segment_args(disk_pgm, tmp_path / "o")) == 0
+        assert main([
+            "gradcheck", "--input", str(blob_pgm),
+            "--init-circle", "32,32,15", "--vertices", "40", "--eta", "1e-3",
+        ]) == 0
 
     def test_negative_eta_exits_one(self, disk_pgm, tmp_path, capsys):
         # "--eta -1e-3" is already an argparse usage error: "-1e-3" reads as an option
@@ -260,6 +303,14 @@ class TestGradcheck:
             "gradcheck", "--input", str(blob_pgm), "--init-circle", "500,500,10",
         ])
         assert rc == 1
+
+    @pytest.mark.parametrize("h", ["0", "-0.25", "nan", "inf"])
+    def test_bad_step_exits_one(self, blob_pgm, capsys, h):
+        rc = main([
+            "gradcheck", "--input", str(blob_pgm), "--init-circle", "32,32,15", "--h", h,
+        ])
+        assert rc == 1
+        assert "--h must be positive and finite" in capsys.readouterr().err
 
     def test_io_error_exits_one(self, tmp_path):
         rc = main([

@@ -6,7 +6,7 @@ import sympy as sp
 
 import polyseg as ps
 
-from helpers import star_polygon, supersampled_total
+from helpers import region_stats, star_polygon, supersampled_total
 
 
 def random_stats(rng, channels=1):
@@ -31,14 +31,14 @@ class TestMeans:
         img = ps.Image(np.full((10, 10), 0.5), ps.GRAY)
         mask = np.zeros((10, 10), dtype=bool)
         mask[2:5, 2:5] = True
-        m = ps.means(ps.region_stats(img, mask))
+        m = ps.means(region_stats(img, mask))
         assert m.mu_in[0] == m.mu_out[0] == 0.5
         assert m.var_in[0] == m.var_out[0] == 0.0
 
     def test_indicator_disk(self):
         img = ps.synth_shape("disk", 48, 48, 1.0, 0.0, {"cx": 24, "cy": 24, "r": 15})
         mask = img.data[:, :, 0] == 1.0
-        m = ps.means(ps.region_stats(img, mask))
+        m = ps.means(region_stats(img, mask))
         assert m.mu_in[0] == 1.0 and m.mu_out[0] == 0.0
         assert m.var_in[0] == 0.0 and m.var_out[0] == 0.0
 
@@ -47,7 +47,7 @@ class TestMeans:
         data = rng.uniform(0, 1, (12, 12, 1))
         mask = rng.uniform(0, 1, (12, 12)) > 0.4
         img = ps.Image(data, ps.GRAY)
-        m = ps.means(ps.region_stats(img, mask))
+        m = ps.means(region_stats(img, mask))
         vals_in = data[:, :, 0][mask]
         vals_out = data[:, :, 0][~mask]
         assert m.mu_in[0] == pytest.approx(vals_in.mean(), abs=1e-12)
@@ -96,7 +96,7 @@ class TestRegionShapeGradient:
         img = ps.Image(np.full((20, 20), 0.5), ps.GRAY)
         mask = np.zeros((20, 20), dtype=bool)
         mask[5:15, 5:15] = True
-        st_ = ps.region_stats(img, mask)
+        st_ = region_stats(img, mask)
         g = ps.region_shape_gradient(img, ps.means(st_), st_, np.array([[10.0, 10.0]]))
         assert abs(g[0]) < 1e-12
 

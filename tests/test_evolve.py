@@ -77,6 +77,25 @@ class TestStep:
         assert q.points.max() <= 9.0
         assert q.points.max() == 9.0  # clamping engaged
 
+    @staticmethod
+    def still(p):
+        return ps.GradientField(speeds=np.zeros(len(p)), normals=ps.outward_normals(p))
+
+    def test_drops_vertices_clamped_onto_one_corner(self):
+        p = ps.Polygon([[-3.0, -1.0], [-1.0, -3.0], [8.0, 1.0], [8.0, 8.0], [1.0, 8.0]])
+        q = ps.step(p, self.still(p), 1.0, bounds=(10, 10))
+        assert q.points.tolist() == [[0.0, 0.0], [8.0, 1.0], [8.0, 8.0], [1.0, 8.0]]
+
+    def test_drops_across_the_closing_edge(self):
+        p = ps.Polygon([[-1.0, -3.0], [8.0, 1.0], [8.0, 8.0], [1.0, 8.0], [-3.0, -1.0]])
+        q = ps.step(p, self.still(p), 1.0, bounds=(10, 10))
+        assert q.points.tolist() == [[0.0, 0.0], [8.0, 1.0], [8.0, 8.0], [1.0, 8.0]]
+
+    def test_fewer_than_three_left_raises(self):
+        p = ps.Polygon([[-3.0, -1.0], [-1.0, -3.0], [8.0, 8.0]])
+        with pytest.raises(ps.DegeneratePolygon, match="at least 3"):
+            ps.step(p, self.still(p), 1.0, bounds=(10, 10))
+
 
 class TestConverged:
     def mkrow(self, i, total):
@@ -145,8 +164,11 @@ class TestRun:
         assert partial.iterations_run == 0
         assert not partial.converged
 
-    def test_degenerate_first_step_raises_with_partial(self):
-        # the frame clamp puts two neighbouring vertices on the corner (0, 0)
+    def test_degenerate_first_step_raises_with_partial(self, monkeypatch):
+        def degenerate_step(*args, **kwargs):
+            raise ps.DegeneratePolygon("consecutive vertices coincide")
+
+        monkeypatch.setattr(polyseg.evolve, "step", degenerate_step)
         img = ps.synth_shape("disk", 120, 120, 0.9, 0.1, {"cx": 60, "cy": 60, "r": 35})
         p0 = ps.init_circle((20, 20), 30, 60)
         cfg = ps.EvolveConfig(n_vertices=60, eta=5e-4, max_iters=200)
@@ -157,6 +179,19 @@ class TestRun:
         assert partial.iterations_run == 0
         assert np.array_equal(partial.final_polygon.points, p0.points)
         assert not partial.converged
+
+    def test_dropped_vertex_counts_in_max_disp_and_resample_restores(self):
+        # the far vertex is clamped onto the corner (0, 0) together with its
+        # successor and dropped; it moved the farthest
+        img = ps.synth_shape("disk", 64, 64, 0.9, 0.1, {"cx": 25, "cy": 25, "r": 15})
+        p0 = ps.Polygon([[-20.0, -20.0], [-0.5, -0.5], [40.0, 5.0], [40.0, 40.0], [5.0, 40.0]])
+        cfg = ps.EvolveConfig(n_vertices=5, eta=1e-3, max_iters=3, resample_every=2,
+                              e_thr=1e-12)
+        counts = []
+        res = ps.run(img, p0, cfg, callback=lambda k, p: counts.append(len(p)))
+        assert counts == [5, 4, 5]
+        assert res.trace[0].max_disp > math.hypot(20.0, 20.0) - 0.5
+        assert all(r.max_disp <= 0.5 + 1e-12 for r in res.trace[1:])
 
     def test_start_errors_carry_no_partial(self):
         img = ps.synth_shape("disk", 64, 64, 0.9, 0.1, {"cx": 32, "cy": 32, "r": 14})

@@ -46,6 +46,25 @@ class TestReadPnm:
         with pytest.raises(ps.ParseError):
             ps.read_pnm(path)
 
+    @pytest.mark.parametrize("content", [
+        b"P5\n2 1\n15\n\x0f\xc8",  # byte 200 above maxval 15
+        b"P5\n1 1\n1000\n" + (1001).to_bytes(2, "big"),
+        b"P2\n2 1\n255\n7 256\n",
+        b"P2\n1 1\n255\n" + b"9" * 400 + b"\n",  # too large for a float
+        b"P2\n2 1\n255\n-5 7\n",
+        b"P3\n1 1\n255\n0 -1 0\n",
+    ])
+    def test_sample_outside_maxval(self, tmp_path, content):
+        path = tmp_path / "a.pnm"
+        path.write_bytes(content)
+        with pytest.raises(ps.ParseError, match="outside"):
+            ps.read_pnm(path)
+
+    def test_samples_at_zero_and_maxval(self, tmp_path):
+        path = tmp_path / "a.pgm"
+        path.write_bytes(b"P5\n2 1\n15\n\x00\x0f")
+        assert ps.read_pnm(path).data[0, :, 0].tolist() == [0.0, 1.0]
+
     @pytest.mark.parametrize("magic", [b"P1", b"P4", b"P7"])
     def test_unsupported_formats(self, tmp_path, magic):
         path = tmp_path / "a.pbm"

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import polyseg as ps
-from helpers import brute_force_mask, naive_region_sums, star_polygon
+from helpers import brute_force_mask, naive_region_sums, region_stats, star_polygon
 
 FRAME = 64
 
@@ -97,7 +97,7 @@ class TestRegionStats:
         img = ps.Image(data, ps.GRAY)
         mask = np.zeros((10, 10), dtype=bool)
         mask[0, :] = True  # 10 of 100 pixels
-        st_ = ps.region_stats(img, mask)
+        st_ = region_stats(img, mask)
         assert st_.area_in == 10
         assert st_.s1_in[0] == pytest.approx(5.0)
         assert st_.s2_in[0] == pytest.approx(2.5)
@@ -106,7 +106,7 @@ class TestRegionStats:
     def test_indicator_disk(self):
         img = ps.synth_shape("disk", 64, 64, 1.0, 0.0, {"cx": 32, "cy": 32, "r": 20})
         mask = img.data[:, :, 0] == 1.0
-        st_ = ps.region_stats(img, mask)
+        st_ = region_stats(img, mask)
         assert st_.s2_in[0] == st_.s1_in[0]  # f in {0,1} so f^2 == f
         assert st_.s1_out[0] == 0.0
 
@@ -119,7 +119,7 @@ class TestRegionStats:
         if not mask.any() or mask.all():
             return
         img = ps.Image(data, ps.GRAY if channels == 1 else ps.RGB)
-        st_ = ps.region_stats(img, mask)
+        st_ = region_stats(img, mask)
         n_in, s1i, s2i, s1o, s2o = naive_region_sums(data, mask)
         assert st_.area_in == n_in
         assert np.abs(st_.s1_in - s1i).max() < 1e-9
@@ -132,7 +132,7 @@ class TestRegionStats:
         data = rng.uniform(0, 1, (32, 32, 3))
         img = ps.Image(data, ps.RGB)
         mask = rng.uniform(0, 1, (32, 32)) > 0.3
-        st_ = ps.region_stats(img, mask)
+        st_ = region_stats(img, mask)
         assert np.abs(st_.s1_in + st_.s1_out - data.sum(axis=(0, 1))).max() < 1e-9
         assert st_.area_in + st_.area_out == 32 * 32
 
@@ -141,25 +141,25 @@ class TestRegionStats:
         data = rng.uniform(0, 1, (20, 20, 1))
         img = ps.Image(data, ps.GRAY)
         mask = rng.uniform(0, 1, (20, 20)) > 0.5
-        st_ = ps.region_stats(img, mask)
+        st_ = region_stats(img, mask)
         assert st_.s2_in[0] >= st_.s1_in[0] ** 2 / st_.area_in - 1e-12
         assert st_.s2_out[0] >= st_.s1_out[0] ** 2 / st_.area_out - 1e-12
 
     def test_empty_side(self):
         img = ps.Image(np.zeros((4, 4)), ps.GRAY)
         with pytest.raises(ps.EmptyRegion):
-            ps.region_stats(img, np.ones((4, 4), dtype=bool))
+            region_stats(img, np.ones((4, 4), dtype=bool))
 
     def test_dimension_mismatch(self):
         img = ps.Image(np.zeros((4, 4)), ps.GRAY)
         with pytest.raises(ValueError):
-            ps.region_stats(img, np.zeros((5, 5), dtype=bool))
+            region_stats(img, np.zeros((5, 5), dtype=bool))
 
 
 class TestSupersampled:
     def test_factor_one_degenerates_to_energy(self, blob64):
         p = star_polygon(1, n=25, center=(32, 32), r_mean=14)
-        a = ps.supersampled_energy(blob64, p, 0.07, 1)
+        a = ps.supersampled_energy(ps.SupersampledEvaluator(blob64, 1), p, 0.07)
         b = ps.energy(blob64, p, 0.07)
         assert (a.e1, a.e2, a.e3, a.total) == (b.e1, b.e2, b.e3, b.total)
 
@@ -167,7 +167,7 @@ class TestSupersampled:
     def test_constant_image_zero_variance(self, factor):
         img = ps.Image(np.full((24, 24), 0.4), ps.GRAY)
         p = ps.init_circle((12, 12), 8, 20)
-        eb = ps.supersampled_energy(img, p, 0.1, factor)
+        eb = ps.supersampled_energy(ps.SupersampledEvaluator(img, factor), p, 0.1)
         assert eb.e1 < 1e-12 and eb.e2 < 1e-12
         assert eb.total == pytest.approx(0.1 * ps.polygon_perimeter(p))
 
@@ -181,7 +181,7 @@ class TestSupersampled:
         img = ps.synth_shape("disk", W, H, A, B, {"cx": 64, "cy": 64, "r": Rd})
         rc = 30.0
         p = ps.init_circle((64, 64), rc, 256)
-        eb = ps.supersampled_energy(img, p, 0.0, 16)
+        eb = ps.supersampled_energy(ps.SupersampledEvaluator(img, 16), p, 0.0)
         a1 = math.pi * (Rd**2 - rc**2)
         a2 = W * H - math.pi * Rd**2
         mu = (A * a1 + B * a2) / (a1 + a2)
@@ -203,9 +203,11 @@ class TestSupersampled:
         data = rng.uniform(0, 1, (32, 32, 3))
         img = ps.Image(data, ps.RGB)
         p = ps.init_circle((16, 16), 10, 40)
-        stacked = ps.supersampled_energy(img, p, 0.05, 8)
+        stacked = ps.supersampled_energy(ps.SupersampledEvaluator(img, 8), p, 0.05)
         parts = [
-            ps.supersampled_energy(ps.Image(data[:, :, c], ps.GRAY), p, 0.0, 8)
+            ps.supersampled_energy(
+                ps.SupersampledEvaluator(ps.Image(data[:, :, c], ps.GRAY), 8), p, 0.0
+            )
             for c in range(3)
         ]
         assert stacked.e1 == pytest.approx(sum(x.e1 for x in parts), abs=1e-12)
@@ -225,7 +227,7 @@ class TestEvaluatorMatchesMask:
         img = FIELDS[channels]
         p = ps.Polygon(points)
         try:
-            ref = ps.region_stats(img, ps.rasterize_mask(p, FRAME, FRAME))
+            ref = region_stats(img, ps.rasterize_mask(p, FRAME, FRAME))
         except ps.EmptyRegion:
             with pytest.raises(ps.EmptyRegion):
                 ps.SupersampledEvaluator(img, 1).stats(p)
