@@ -4,9 +4,12 @@ The contour is an explicit closed polygon evolved by gradient descent on
 the per-vertex shape gradient of a normalized two-region energy -- no level
 sets, no curve parametrization.  Region statistics come from one path,
 ``SupersampledEvaluator``, which sums row prefix sums at the polygon's
-scanline crossings; its NumPy kernels live in ``polyseg.backend``.
-``supersampled_energy`` turns an evaluator's statistics into an energy,
-and ``bilinear_sample`` and the supersampled field share one cell rule.
+scanline crossings; its NumPy kernels live in ``polyseg.backend``.  Each
+derived quantity has one owner: a ``RegionStats`` carries the region means
+and variances and rejects an empty side, and a ``Polygon`` carries its
+``edges`` and edge ``lengths``.  ``supersampled_energy`` turns an
+evaluator's statistics into an energy, and ``bilinear_sample`` and the
+supersampled field share one cell rule.
 """
 
 from .backend import BACKEND
@@ -14,10 +17,8 @@ from .color import srgb_to_lab
 from .energy import (
     EnergyBreakdown,
     GradientField,
-    RegionMeans,
-    breakdown_from_means,
+    breakdown_from_stats,
     energy,
-    means,
     region_shape_gradient,
     shape_gradient,
     supersampled_energy,
@@ -75,7 +76,6 @@ __all__ = [
     "Polygon",
     "PolysegError",
     "RGB",
-    "RegionMeans",
     "RegionStats",
     "Rng",
     "SegmentationResult",
@@ -85,14 +85,13 @@ __all__ = [
     "WrongColorspace",
     "add_gaussian_noise",
     "bilinear_sample",
-    "breakdown_from_means",
+    "breakdown_from_stats",
     "converged",
     "discrete_curvature",
     "energy",
     "ensure_ccw",
     "init_circle",
     "is_simple",
-    "means",
     "outward_normals",
     "polygon_area",
     "polygon_perimeter",

@@ -188,6 +188,10 @@ def _cmd_synth(args) -> int:
 def _cmd_gradcheck(args) -> int:
     if not (math.isfinite(args.h) and args.h > 0):
         raise ValueError("--h must be positive and finite")
+    if not (math.isfinite(args.gate) and args.gate >= 0):
+        raise ValueError("--gate must be non-negative and finite")
+    if not (math.isfinite(args.threshold) and args.threshold > 0):
+        raise ValueError("--threshold must be positive and finite")
     raw = read_pnm(args.input)
     img = to_gray(raw) if raw.colorspace == RGB else raw
     if args.init_circle:

@@ -14,31 +14,21 @@ gives the energy's directional derivative.  In compact form, per channel:
                    + (var_out - (f(x) - mu_out)^2) / area_out
 
 and the length term contributes eta * curvature.  Region means, variances
-and areas come from ``SupersampledEvaluator(img, 1)``, the same exact pixel
-statistics the evolution loop uses, so the gradient matches the energy
-actually reported and descended.  Outside the evolution loop, which reuses
-the means for the gradient, only :func:`supersampled_energy` builds an
-:class:`EnergyBreakdown`.
+and areas are fields of the :class:`~polyseg.raster.RegionStats` that
+``SupersampledEvaluator(img, 1)`` returns, the same exact pixel statistics
+the evolution loop uses, so the gradient matches the energy actually
+reported and descended.  Outside the evolution loop, which reuses one
+``RegionStats`` for the energy and the gradient, only
+:func:`supersampled_energy` builds an :class:`EnergyBreakdown`.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyRegion
 from .geometry import Polygon, discrete_curvature, outward_normals, polygon_perimeter
 from .image import Image, bilinear_sample
 from .raster import RegionStats, SupersampledEvaluator
-
-
-@dataclass
-class RegionMeans:
-    """Per-channel means and variances of the two sides of a segmentation."""
-
-    mu_in: np.ndarray
-    mu_out: np.ndarray
-    var_in: np.ndarray
-    var_out: np.ndarray
 
 
 @dataclass
@@ -59,30 +49,10 @@ class GradientField:
     normals: np.ndarray
 
 
-def means(stats: RegionStats) -> RegionMeans:
-    """Region means and variances from accumulated moments.
-
-    var = s2/area - mu^2, clamped at 0 to absorb floating-point
-    cancellation on (near-)constant regions.
-
-    Raises
-    ------
-    EmptyRegion
-        If either side has zero area.
-    """
-    if stats.area_in <= 0.0 or stats.area_out <= 0.0:
-        raise EmptyRegion("region means need pixels on both sides")
-    mu_in = stats.s1_in / stats.area_in
-    mu_out = stats.s1_out / stats.area_out
-    var_in = np.maximum(stats.s2_in / stats.area_in - mu_in * mu_in, 0.0)
-    var_out = np.maximum(stats.s2_out / stats.area_out - mu_out * mu_out, 0.0)
-    return RegionMeans(mu_in=mu_in, mu_out=mu_out, var_in=var_in, var_out=var_out)
-
-
-def breakdown_from_means(m: RegionMeans, perimeter: float, eta: float) -> EnergyBreakdown:
+def breakdown_from_stats(stats: RegionStats, perimeter: float, eta: float) -> EnergyBreakdown:
     """Assemble an EnergyBreakdown from region variances and a boundary length."""
-    e1 = float(np.sum(m.var_in))
-    e2 = float(np.sum(m.var_out))
+    e1 = float(np.sum(stats.var_in))
+    e2 = float(np.sum(stats.var_out))
     return EnergyBreakdown(e1=e1, e2=e2, e3=perimeter, total=e1 + e2 + eta * perimeter)
 
 
@@ -103,12 +73,10 @@ def supersampled_energy(ev: SupersampledEvaluator, p: Polygon, eta: float) -> En
     fractionally to the region moments, which gives the smooth energy of
     the gradient check.
     """
-    return breakdown_from_means(means(ev.stats(p)), polygon_perimeter(p), eta)
+    return breakdown_from_stats(ev.stats(p), polygon_perimeter(p), eta)
 
 
-def region_shape_gradient(
-    img: Image, m: RegionMeans, stats: RegionStats, points: np.ndarray
-) -> np.ndarray:
+def region_shape_gradient(img: Image, stats: RegionStats, points: np.ndarray) -> np.ndarray:
     """Region part of the shape gradient at arbitrary boundary points.
 
     Per channel and point x (intensity f(x) sampled bilinearly, clamped at
@@ -119,22 +87,18 @@ def region_shape_gradient(
 
     summed over channels.  Returns one value per point.
     """
-    if stats.area_in <= 0.0 or stats.area_out <= 0.0:
-        raise EmptyRegion("shape gradient needs pixels on both sides")
     pts = np.asarray(points, dtype=np.float64)
     f = bilinear_sample(img.data, pts[:, 0], pts[:, 1])
-    din = f - m.mu_in[None, :]
-    dout = f - m.mu_out[None, :]
-    g_in = (din * din - m.var_in[None, :]) / stats.area_in
-    g_out = (m.var_out[None, :] - dout * dout) / stats.area_out
+    din = f - stats.mu_in[None, :]
+    dout = f - stats.mu_out[None, :]
+    g_in = (din * din - stats.var_in[None, :]) / stats.area_in
+    g_out = (stats.var_out[None, :] - dout * dout) / stats.area_out
     return (g_in + g_out).sum(axis=1)
 
 
-def _gradient_from_stats(
-    img: Image, p: Polygon, eta: float, m: RegionMeans, stats: RegionStats
-) -> GradientField:
-    """Gradient field for a polygon whose mask statistics are already known."""
-    speeds = region_shape_gradient(img, m, stats, p.points)
+def _gradient_from_stats(img: Image, p: Polygon, eta: float, stats: RegionStats) -> GradientField:
+    """Gradient field for a polygon whose region statistics are already known."""
+    speeds = region_shape_gradient(img, stats, p.points)
     if eta != 0.0:
         speeds = speeds + eta * discrete_curvature(p)
     return GradientField(speeds=speeds, normals=outward_normals(p))
@@ -149,5 +113,4 @@ def shape_gradient(img: Image, p: Polygon, eta: float) -> GradientField:
     vertex.  On a multi-channel image the region part is summed over
     channels and eta * curvature enters once.
     """
-    stats = SupersampledEvaluator(img, 1).stats(p)
-    return _gradient_from_stats(img, p, eta, means(stats), stats)
+    return _gradient_from_stats(img, p, eta, SupersampledEvaluator(img, 1).stats(p))

@@ -15,13 +15,15 @@ displacement-normalized steps would jitter forever).
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import GradientField, _gradient_from_stats, breakdown_from_means, means
+from .energy import GradientField, _gradient_from_stats, breakdown_from_stats
 from .errors import DegeneratePolygon, EmptyRegion, PolysegError
 from .geometry import (
+    MIN_EDGE_LEN,
     Polygon,
     ensure_ccw,
     is_simple,
@@ -47,7 +49,8 @@ class EvolveConfig:
     min(dt_cap, 0.5 px / max_i |speed_i|); a positive dt fixes it.  dt,
     dt_cap, eta and e_thr must be finite, and eta must not be negative: a
     negative length weight rewards longer polygons, so the energy would
-    have no lower bound.
+    have no lower bound.  n_vertices, max_iters, resample_every and window
+    are counts and must be integers.
     """
 
     n_vertices: int = 100
@@ -64,6 +67,9 @@ class EvolveConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
+        for name in ("n_vertices", "max_iters", "resample_every", "window"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.n_vertices < 3:
             raise ValueError("n_vertices must be at least 3")
         if self.dt is not None and self.dt <= 0:
@@ -136,9 +142,10 @@ def step(p: Polygon, g: GradientField, dt: float, bounds=None) -> Polygon:
 
     bounds, when given, is (width, height); coordinates are clamped to
     [0, W-1] x [0, H-1].  The clamp can put neighbouring vertices on one
-    frame corner: every vertex that lands exactly on its successor (closing
-    edge included) is dropped, and the next resample restores the vertex
-    count.
+    frame point, or within rounding of it: every vertex that lands within
+    ``MIN_EDGE_LEN`` of its successor (closing edge included), the edge
+    length ``Polygon`` rejects, is dropped, and the next resample restores
+    the vertex count.
 
     Raises
     ------
@@ -146,8 +153,8 @@ def step(p: Polygon, g: GradientField, dt: float, bounds=None) -> Polygon:
         If fewer than 3 vertices are left.
     """
     pts = _moved(p, g, dt, bounds)
-    successors = np.concatenate((pts[1:], pts[:1]))
-    return Polygon(pts[(pts != successors).any(axis=1)])
+    gap = np.concatenate((pts[1:], pts[:1])) - pts
+    return Polygon(pts[np.hypot(gap[:, 0], gap[:, 1]) > MIN_EDGE_LEN])
 
 
 def converged(trace: list[TraceRow], e_thr: float, window: int) -> bool:
@@ -203,12 +210,11 @@ def run(img: Image, p0: Polygon, cfg: EvolveConfig, callback=None) -> Segmentati
                 raise EmptyRegion(
                     f"contour collapsed to {int(stats.area_in)} pixels at iteration {k}"
                 )
-            m = means(stats)
-            eb = breakdown_from_means(m, polygon_perimeter(p), cfg.eta)
+            eb = breakdown_from_stats(stats, polygon_perimeter(p), cfg.eta)
             if callback is not None:
                 callback(k, p)
 
-            g = _gradient_from_stats(img, p, cfg.eta, m, stats)
+            g = _gradient_from_stats(img, p, cfg.eta, stats)
             max_speed = float(np.max(np.abs(g.speeds)))
             if cfg.dt is not None:
                 dt = cfg.dt
@@ -243,6 +249,9 @@ def run(img: Image, p0: Polygon, cfg: EvolveConfig, callback=None) -> Segmentati
                 break
             if (k + 1) % cfg.resample_every == 0:
                 p = resample_uniform(p, cfg.n_vertices)
+        # the prefix tables are not needed for the mask: freed first, they
+        # are never resident together with the fill's frame-sized buffers
+        del ev
         final_mask = rasterize_mask(p, w, h)
     except PolysegError as exc:
         exc.partial = SegmentationResult(

@@ -1,11 +1,12 @@
 """Polygon representation and discrete differential geometry.
 
 A contour is an explicit closed polygon: an ordered (n, 2) list of (x, y)
-vertices with the closing edge implicit.  This module provides orientation
-normalization, area and perimeter, outward vertex normals, discrete
-curvature, uniform arc-length resampling, a simplicity test built on one
-table of vertex-against-edge orientations, and the text file format for
-polygons.
+vertices with the closing edge implicit.  A :class:`Polygon` keeps the edge
+vectors and lengths it validates, and every edge-based quantity here reads
+them.  This module provides orientation normalization, area and perimeter,
+outward vertex normals, discrete curvature, uniform arc-length resampling,
+a simplicity test built on one table of vertex-against-edge orientations,
+and the text file format for polygons.
 """
 
 import numpy as np
@@ -27,11 +28,14 @@ class Polygon:
     edge length 1e-9 px, closing edge included).  Orientation is *not*
     normalized here; use :func:`ensure_ccw`.
 
+    It keeps three read-only arrays: ``points``, ``edges`` (successor minus
+    vertex, so ``edges[-1]`` is the closing edge) and their ``lengths``.
+
     Vertices are (x, y) pairs in the pixel-center frame: pixel (row r,
     col c) of an image has its center at (x=c, y=r).
     """
 
-    __slots__ = ("points",)
+    __slots__ = ("points", "edges", "lengths")
 
     def __init__(self, points):
         pts = np.array(points, dtype=np.float64)
@@ -41,10 +45,13 @@ class Polygon:
             raise DegeneratePolygon("polygon requires at least 3 vertices")
         if not np.all(np.isfinite(pts)):
             raise DegeneratePolygon("polygon vertices must be finite")
-        edges = np.roll(pts, -1, axis=0) - pts
-        if np.min(np.hypot(edges[:, 0], edges[:, 1])) <= MIN_EDGE_LEN:
+        edges = np.concatenate((pts[1:], pts[:1])) - pts
+        lengths = np.hypot(edges[:, 0], edges[:, 1])
+        if np.min(lengths) <= MIN_EDGE_LEN:
             raise DegeneratePolygon("consecutive vertices coincide")
-        self.points = pts
+        for arr in (pts, edges, lengths):
+            arr.flags.writeable = False
+        self.points, self.edges, self.lengths = pts, edges, lengths
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -62,8 +69,7 @@ def polygon_area(p: Polygon) -> float:
 
 def polygon_perimeter(p: Polygon) -> float:
     """Total edge length of the closed polygon, closing edge included."""
-    edges = np.roll(p.points, -1, axis=0) - p.points
-    return float(np.sum(np.hypot(edges[:, 0], edges[:, 1])))
+    return float(np.sum(p.lengths))
 
 
 def ensure_ccw(p: Polygon) -> Polygon:
@@ -117,10 +123,7 @@ def vertex_weights(p: Polygon) -> np.ndarray:
     These weights turn per-vertex normal speeds into a midpoint-rule
     quadrature of a boundary integral.
     """
-    pts = p.points
-    e = np.roll(pts, -1, axis=0) - pts
-    length = np.hypot(e[:, 0], e[:, 1])
-    return 0.5 * (length + np.roll(length, 1))
+    return 0.5 * (p.lengths + np.roll(p.lengths, 1))
 
 
 def discrete_curvature(p: Polygon) -> np.ndarray:
@@ -131,16 +134,11 @@ def discrete_curvature(p: Polygon) -> np.ndarray:
     left (locally convex).  Collinear triples give exactly 0.  The estimate
     is exact on circles: any three cocircular points reproduce 1/r.
     """
-    pts = p.points
-    e1 = pts - np.roll(pts, 1, axis=0)
-    e2 = np.roll(pts, -1, axis=0) - pts
+    e1 = np.roll(p.edges, 1, axis=0)
+    e2 = p.edges
     chord = e1 + e2
     cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    denom = (
-        np.hypot(e1[:, 0], e1[:, 1])
-        * np.hypot(e2[:, 0], e2[:, 1])
-        * np.hypot(chord[:, 0], chord[:, 1])
-    )
+    denom = np.roll(p.lengths, 1) * p.lengths * np.hypot(chord[:, 0], chord[:, 1])
     with np.errstate(divide="ignore", invalid="ignore"):
         kappa = np.where(denom > 0.0, 2.0 * cross / denom, 0.0)
     return kappa
@@ -156,18 +154,13 @@ def resample_uniform(p: Polygon, n_target: int) -> Polygon:
     Raises
     ------
     DegeneratePolygon
-        If n_target < 3 or the perimeter is below 1e-9.
+        If n_target < 3.
     """
     if n_target < 3:
         raise DegeneratePolygon("resample target must be at least 3 vertices")
     closed = np.concatenate([p.points, p.points[:1]], axis=0)
-    seg = np.diff(closed, axis=0)
-    seglen = np.hypot(seg[:, 0], seg[:, 1])
-    cum = np.concatenate([[0.0], np.cumsum(seglen)])
-    perim = cum[-1]
-    if perim < MIN_AREA:
-        raise DegeneratePolygon("perimeter is (near) zero")
-    t = np.arange(n_target) * (perim / n_target)
+    cum = np.concatenate([[0.0], np.cumsum(p.lengths)])
+    t = np.arange(n_target) * (cum[-1] / n_target)
     xs = np.interp(t, cum, closed[:, 0])
     ys = np.interp(t, cum, closed[:, 1])
     return Polygon(np.column_stack([xs, ys]))
@@ -188,9 +181,7 @@ def is_simple(p: Polygon) -> bool:
     n = len(p)
     if n < 4:
         return True
-    pts = p.points
-    nxt = np.roll(pts, -1, axis=0)
-    edge = nxt - pts
+    pts, edge = p.points, p.edges
     x, y = pts[:, 0], pts[:, 1]
     orient = np.subtract.outer(y, y)
     orient *= edge[:, 0]
@@ -204,9 +195,10 @@ def is_simple(p: Polygon) -> bool:
     if np.any(straddle & straddle.T):
         return False
     k, j = np.nonzero(orient == 0)
-    keep = (k != j) & (k != (j + 1) % n)
-    k, j = k[keep], j[keep]
-    lo, hi = np.minimum(pts[j], nxt[j]), np.maximum(pts[j], nxt[j])
+    j1 = (j + 1) % n
+    keep = (k != j) & (k != j1)
+    k, j, j1 = k[keep], j[keep], j1[keep]
+    lo, hi = np.minimum(pts[j], pts[j1]), np.maximum(pts[j], pts[j1])
     return not bool(np.any(((lo <= pts[k]) & (pts[k] <= hi)).all(axis=1)))
 
 

@@ -8,11 +8,13 @@ exactly on an edge follow the half-open top-left convention (see
 :class:`SupersampledEvaluator` is the one path from a polygon to its
 :class:`RegionStats`: at factor 1 it gives the exact pixel statistics the
 energy, the shape gradient and the evolution loop use, at higher factors
-the fractional ones of the gradient check.  :func:`rasterize_mask` selects
-the same pixels as an explicit mask; it serves the final mask of a run.
+the fractional ones of the gradient check.  A :class:`RegionStats` derives
+the region means and variances itself and is the one place that rejects an
+empty side.  :func:`rasterize_mask` selects the same pixels as an explicit
+mask; it serves the final mask of a run.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,12 +24,20 @@ from .geometry import Polygon
 from .image import Image, _cell
 
 
-@dataclass
+@dataclass(frozen=True)
 class RegionStats:
-    """Area and first/second intensity moments for inside and outside.
+    """Area, intensity moments, means and variances of the two sides.
 
     Areas are pixel counts (fractional for supersampled stats); s1/s2 are
-    per-channel sums of f and f^2 over each side.
+    per-channel sums of f and f^2 over each side.  The per-channel means
+    mu = s1/area and variances var = s2/area - mu^2 are derived on
+    construction; var is clamped at 0 to absorb floating-point cancellation
+    on (near-)constant regions.
+
+    Raises
+    ------
+    EmptyRegion
+        If either side has zero area.
     """
 
     area_in: float
@@ -36,6 +46,24 @@ class RegionStats:
     s1_out: np.ndarray
     s2_in: np.ndarray
     s2_out: np.ndarray
+    mu_in: np.ndarray = field(init=False)
+    mu_out: np.ndarray = field(init=False)
+    var_in: np.ndarray = field(init=False)
+    var_out: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        if self.area_in <= 0.0 or self.area_out <= 0.0:
+            raise EmptyRegion("one side of the segmentation has zero area")
+        mu_in = self.s1_in / self.area_in
+        mu_out = self.s1_out / self.area_out
+        derived = {
+            "mu_in": mu_in,
+            "mu_out": mu_out,
+            "var_in": np.maximum(self.s2_in / self.area_in - mu_in * mu_in, 0.0),
+            "var_out": np.maximum(self.s2_out / self.area_out - mu_out * mu_out, 0.0),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)  # frozen: set once, here
 
 
 def rasterize_mask(p: Polygon, width: int, height: int) -> np.ndarray:
@@ -133,8 +161,6 @@ class SupersampledEvaluator:
         nsub, s1, s2 = backend.ss_stats(
             self._prefix1, self._prefix2, p.points[:, 0], p.points[:, 1], self.factor
         )
-        if nsub == 0.0 or nsub == self._total_sub:
-            raise EmptyRegion("one side of the polygon holds no sample")
         inv = 1.0 / (self.factor * self.factor)
         return RegionStats(
             area_in=nsub * inv,

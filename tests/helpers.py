@@ -156,12 +156,9 @@ def region_stats(img: ps.Image, mask: np.ndarray) -> ps.RegionStats:
     area_in, s1_in, s2_in, s1_all, s2_all = backend.mask_stats(
         img.data, np.ascontiguousarray(mask, dtype=np.uint8)
     )
-    area_out = float(img.width * img.height) - area_in
-    if area_in == 0.0 or area_out == 0.0:
-        raise ps.EmptyRegion("one side of the mask has no pixels")
     return ps.RegionStats(
         area_in=area_in,
-        area_out=area_out,
+        area_out=float(img.width * img.height) - area_in,
         s1_in=s1_in,
         s1_out=s1_all - s1_in,
         s2_in=s2_in,

@@ -170,9 +170,10 @@ class TestSegment:
         lines = (out / "trace.csv").read_text().splitlines()
         assert lines == ["iter,e1,e2,e3,total,area,perimeter,max_disp"]
 
-    @pytest.mark.parametrize("circle", ["20,20,30", "100,100,40"])
+    @pytest.mark.parametrize("circle", ["20,20,30", "100,100,40", "0,0,30"])
     def test_clamp_onto_frame_corner_runs_on(self, disk_pgm, tmp_path, capsys, circle):
-        # the first step clamps neighbouring vertices onto one frame corner
+        # the first step clamps neighbouring vertices onto one frame corner;
+        # centred on the corner, some land within 1e-15 px of each other
         out = tmp_path / "o"
         rc = main([
             "segment", "--input", str(disk_pgm), "--init-circle", circle,
@@ -311,6 +312,27 @@ class TestGradcheck:
         ])
         assert rc == 1
         assert "--h must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, rule",
+        [
+            ("--gate", "-1e-4", "non-negative and finite"),
+            ("--gate", "nan", "non-negative and finite"),
+            ("--gate", "inf", "non-negative and finite"),
+            ("--threshold", "0", "positive and finite"),
+            ("--threshold", "-0.1", "positive and finite"),
+            ("--threshold", "nan", "positive and finite"),
+            ("--threshold", "inf", "positive and finite"),
+        ],
+    )
+    def test_bad_gate_or_threshold_exits_one(self, blob_pgm, capsys, flag, value, rule):
+        # a non-finite gate would gate every vertex and pass with error 0
+        rc = main([
+            "gradcheck", "--input", str(blob_pgm), "--init-circle", "32,32,15",
+            f"{flag}={value}",
+        ])
+        assert rc == 1
+        assert f"{flag} must be {rule}" in capsys.readouterr().err
 
     def test_io_error_exits_one(self, tmp_path):
         rc = main([

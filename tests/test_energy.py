@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -31,14 +32,14 @@ class TestMeans:
         img = ps.Image(np.full((10, 10), 0.5), ps.GRAY)
         mask = np.zeros((10, 10), dtype=bool)
         mask[2:5, 2:5] = True
-        m = ps.means(region_stats(img, mask))
+        m = region_stats(img, mask)
         assert m.mu_in[0] == m.mu_out[0] == 0.5
         assert m.var_in[0] == m.var_out[0] == 0.0
 
     def test_indicator_disk(self):
         img = ps.synth_shape("disk", 48, 48, 1.0, 0.0, {"cx": 24, "cy": 24, "r": 15})
         mask = img.data[:, :, 0] == 1.0
-        m = ps.means(region_stats(img, mask))
+        m = region_stats(img, mask)
         assert m.mu_in[0] == 1.0 and m.mu_out[0] == 0.0
         assert m.var_in[0] == 0.0 and m.var_out[0] == 0.0
 
@@ -47,7 +48,7 @@ class TestMeans:
         data = rng.uniform(0, 1, (12, 12, 1))
         mask = rng.uniform(0, 1, (12, 12)) > 0.4
         img = ps.Image(data, ps.GRAY)
-        m = ps.means(region_stats(img, mask))
+        m = region_stats(img, mask)
         vals_in = data[:, :, 0][mask]
         vals_out = data[:, :, 0][~mask]
         assert m.mu_in[0] == pytest.approx(vals_in.mean(), abs=1e-12)
@@ -61,9 +62,8 @@ class TestMeans:
 
     def test_empty(self):
         st_ = random_stats(np.random.default_rng(0))
-        st_.area_in = 0.0
         with pytest.raises(ps.EmptyRegion):
-            ps.means(st_)
+            dataclasses.replace(st_, area_in=0.0)
 
 
 class TestEnergy:
@@ -97,7 +97,7 @@ class TestRegionShapeGradient:
         mask = np.zeros((20, 20), dtype=bool)
         mask[5:15, 5:15] = True
         st_ = region_stats(img, mask)
-        g = ps.region_shape_gradient(img, ps.means(st_), st_, np.array([[10.0, 10.0]]))
+        g = ps.region_shape_gradient(img, st_, np.array([[10.0, 10.0]]))
         assert abs(g[0]) < 1e-12
 
     def test_equal_means_value(self):
@@ -105,12 +105,14 @@ class TestRegionShapeGradient:
         rng = np.random.default_rng(1)
         st_ = random_stats(rng)
         mu = st_.s1_in[0] / st_.area_in
-        st_.s1_out = np.array([mu * st_.area_out])
-        st_.s2_out = np.array([(0.02 + mu**2) * st_.area_out])
+        st_ = dataclasses.replace(
+            st_,
+            s1_out=np.array([mu * st_.area_out]),
+            s2_out=np.array([(0.02 + mu**2) * st_.area_out]),
+        )
         img = ps.Image(np.full((8, 8), mu), ps.GRAY)
-        m = ps.means(st_)
-        g = ps.region_shape_gradient(img, m, st_, np.array([[4.0, 4.0]]))
-        expect = -m.var_in[0] / st_.area_in + m.var_out[0] / st_.area_out
+        g = ps.region_shape_gradient(img, st_, np.array([[4.0, 4.0]]))
+        expect = -st_.var_in[0] / st_.area_in + st_.var_out[0] / st_.area_out
         assert g[0] == pytest.approx(expect, rel=1e-12)
 
     def test_compact_equals_expanded_form(self):
@@ -127,8 +129,7 @@ class TestRegionShapeGradient:
                 f * f / ac - (s2c + 2 * f * s1c - 2 * s1c * s1c / ac) / (ac * ac)
             )
             img = ps.Image(np.full((6, 6), f), ps.GRAY)
-            m = ps.means(st_)
-            g = ps.region_shape_gradient(img, m, st_, np.array([[3.0, 3.0]]))
+            g = ps.region_shape_gradient(img, st_, np.array([[3.0, 3.0]]))
             assert g[0] == pytest.approx(expanded_in + expanded_out, abs=1e-10)
 
     def test_concentric_circle_matches_symbolic_oracle(self):
@@ -148,7 +149,7 @@ class TestRegionShapeGradient:
             p = ps.init_circle((64, 64), rc, 100)
             ev = ps.SupersampledEvaluator(img, 16)
             st_ = ev.stats(p)
-            g = ps.region_shape_gradient(img, ps.means(st_), st_, p.points)
+            g = ps.region_shape_gradient(img, st_, p.points)
             spread = g.max() - g.min()
             assert spread < 0.02 * abs(g.mean())
             assert g.mean() == pytest.approx(ref, rel=0.02)

@@ -4,11 +4,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polyseg as ps
 import polyseg.evolve
 import polyseg.geometry
-from helpers import hausdorff_to_circle, pentagram
+from helpers import hausdorff_to_circle, pentagram, star_polygon
 
 
 class TestInitCircle:
@@ -88,6 +90,12 @@ class TestStep:
 
     def test_drops_across_the_closing_edge(self):
         p = ps.Polygon([[-1.0, -3.0], [8.0, 1.0], [8.0, 8.0], [1.0, 8.0], [-3.0, -1.0]])
+        q = ps.step(p, self.still(p), 1.0, bounds=(10, 10))
+        assert q.points.tolist() == [[0.0, 0.0], [8.0, 1.0], [8.0, 8.0], [1.0, 8.0]]
+
+    def test_drops_vertex_clamped_within_rounding_of_its_successor(self):
+        # (-3, 1e-15) clamps to (0, 1e-15), an edge Polygon would reject
+        p = ps.Polygon([[-3.0, 1e-15], [-1.0, -3.0], [8.0, 1.0], [8.0, 8.0], [1.0, 8.0]])
         q = ps.step(p, self.still(p), 1.0, bounds=(10, 10))
         assert q.points.tolist() == [[0.0, 0.0], [8.0, 1.0], [8.0, 8.0], [1.0, 8.0]]
 
@@ -227,7 +235,8 @@ class TestRun:
         assert len(calls) == 1 + 3 * 5 + 1  # start, five candidates per iteration, final
 
     def test_means_once_and_no_weights_per_iteration(self, monkeypatch):
-        counts = {"means": 0, "vertex_weights": 0}
+        # the region statistics, and with them the means, once per iteration
+        counts = {"stats": 0, "vertex_weights": 0}
 
         def counting(name, fn):
             def wrapper(*args):
@@ -237,17 +246,16 @@ class TestRun:
 
         # the package attribute ``polyseg.energy`` is the function
         energy_mod = sys.modules["polyseg.energy"]
-        means = counting("means", energy_mod.means)
+        evaluator = polyseg.raster.SupersampledEvaluator
+        monkeypatch.setattr(evaluator, "stats", counting("stats", evaluator.stats))
         weights = counting("vertex_weights", polyseg.geometry.vertex_weights)
-        for mod in (energy_mod, polyseg.evolve):
-            monkeypatch.setattr(mod, "means", means)
         for mod in (polyseg.geometry, energy_mod, polyseg.evolve):
             monkeypatch.setattr(mod, "vertex_weights", weights, raising=False)
         img = ps.synth_shape("disk", 64, 64, 0.9, 0.1, {"cx": 32, "cy": 32, "r": 14})
         cfg = ps.EvolveConfig(n_vertices=40, eta=5e-4, max_iters=7)
         res = ps.run(img, ps.init_circle((32, 32), 20, 40), cfg)
         assert res.iterations_run == 7
-        assert counts == {"means": 7, "vertex_weights": 0}
+        assert counts == {"stats": 7, "vertex_weights": 0}
 
     def test_determinism(self, disk_noisy):
         p0 = ps.init_circle((100, 100), 80, 60)
@@ -312,6 +320,65 @@ class TestRun:
         assert frac >= 0.95
 
 
+def _finite_trace(trace) -> bool:
+    return all(
+        np.isfinite([r.e1, r.e2, r.e3, r.total, r.area, r.max_disp]).all() for r in trace
+    )
+
+
+class TestRunProperty:
+    """run() returns a finite result or raises a PolysegError with a finite
+    partial trace, over random star starts, images and configs."""
+
+    @given(
+        size=st.integers(24, 64),
+        disk=st.booleans(),
+        noise_sd=st.floats(0.0, 50.0),
+        seed=st.integers(0, 2**16),
+        start_n=st.integers(3, 120),
+        centre=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        r_share=st.floats(0.05, 0.6),
+        amp=st.floats(0.0, 0.4),
+        n=st.integers(3, 120),
+        log_eta=st.floats(-5.0, -1.0),
+        max_iters=st.integers(1, 40),
+        resample_every=st.integers(1, 12),
+        window=st.integers(1, 10),
+    )
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    def test_finite_result_or_partial(
+        self, size, disk, noise_sd, seed, start_n, centre, r_share, amp, n, log_eta,
+        max_iters, resample_every, window,
+    ):
+        c = (size - 1) / 2.0
+        if disk:
+            img = ps.synth_shape("disk", size, size, 0.9, 0.1, {"cx": c, "cy": c, "r": size / 4})
+            img = ps.add_gaussian_noise(img, noise_sd, ps.Rng(seed))
+        else:
+            img = ps.Image(np.random.default_rng(seed).uniform(0, 1, (size, size)), ps.GRAY)
+        p0 = star_polygon(
+            seed, n=start_n, center=(centre[0] * (size - 1), centre[1] * (size - 1)),
+            r_mean=r_share * size, amp=amp,
+        )
+        cfg = ps.EvolveConfig(
+            n_vertices=n, eta=10.0**log_eta, max_iters=max_iters,
+            resample_every=resample_every, window=window,
+        )
+        try:
+            res = ps.run(img, p0, cfg)
+        except ps.PolysegError as exc:
+            if exc.partial is None:
+                # only the start checks raise without a partial
+                assert isinstance(exc, ps.DegeneratePolygon)
+                assert abs(ps.polygon_area(p0)) < 1e-9 or not ps.is_simple(p0)
+            else:
+                assert _finite_trace(exc.partial.trace)
+            return
+        assert np.isfinite(res.final_polygon.points).all()
+        assert _finite_trace(res.trace)
+        assert res.final_simple == ps.is_simple(res.final_polygon)
+
+
 class TestTraceCsv:
     def test_schema_and_precision(self, tmp_path, disk_clean):
         p0 = ps.init_circle((100, 100), 70, 40)
@@ -352,10 +419,18 @@ class TestEvolveConfig:
             {"e_thr": 0.0},
             {"resample_every": 0},
             {"eta": -1e-3},
+            {"window": 0},
+            {"n_vertices": math.nan},
+            {"n_vertices": 40.0},
+            {"max_iters": math.nan},
+            {"max_iters": 2.5},
+            {"resample_every": math.nan},
+            {"window": math.nan},
         ],
     )
     def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
+        # the message names the rejected field
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             ps.EvolveConfig(**kwargs)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])

@@ -81,6 +81,14 @@ class TestPolygonValidation:
         with pytest.raises(ps.DegeneratePolygon):
             ps.Polygon([(0, 0), (MIN_EDGE_LEN * 0.5, 0), (1, 1)])
 
+    def test_edges_and_lengths_read_only(self):
+        p = ps.Polygon([(0, 0), (3, 0), (3, 4)])
+        assert p.edges.tolist() == [[3, 0], [0, 4], [-3, -4]]  # closing edge last
+        assert p.lengths.tolist() == [3, 4, 5]
+        for arr in (p.points, p.edges, p.lengths):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
 
 class TestEnsureCcw:
     def test_cw_square_reversed(self):
