@@ -75,8 +75,10 @@ def fill_mask(xs, ys, width: int, height: int) -> np.ndarray:
     flips = np.zeros((height, width + 1), dtype=np.int64)
     if rows.size:
         np.add.at(flips, (rows, cols), 1)
-    parity = np.cumsum(flips[:, :width], axis=1) & 1
-    return parity.astype(np.uint8)
+    # parity in place: one frame-sized int64 buffer for the whole fill
+    np.cumsum(flips, axis=1, out=flips)
+    flips &= 1
+    return flips[:, :width].astype(np.uint8)
 
 
 def mask_stats(data: np.ndarray, mask: np.ndarray):

@@ -5,8 +5,12 @@ vertices with the closing edge implicit.  A :class:`Polygon` keeps the edge
 vectors and lengths it validates, and every edge-based quantity here reads
 them.  This module provides orientation normalization, area and perimeter,
 outward vertex normals, discrete curvature, uniform arc-length resampling,
-a simplicity test built on one table of vertex-against-edge orientations,
-and the text file format for polygons.
+a simplicity test, and the text file format for polygons.
+
+The simplicity test is the guard that keeps the evolving polygon a valid
+boundary.  It runs on every candidate step, so a sort-and-sweep broad phase
+hands it only the edge pairs whose bounding boxes overlap: O(n log n +
+pairs) work, O(n^2) only when every box overlaps every other.
 """
 
 import numpy as np
@@ -169,37 +173,62 @@ def resample_uniform(p: Polygon, n_target: int) -> Polygon:
 def is_simple(p: Polygon) -> bool:
     """True iff no two non-adjacent edges intersect (even touching).
 
-    Every orientation the pairwise segment test needs is an entry of one
-    n x n table, ``orient[k, j] = cross(v_j, v_{j+1}, v_k)``, the side of
-    edge j's line that vertex k lies on.  Edges i and j cross properly iff
+    A sort-and-sweep broad phase (Shamos & Hoey, 1976) lists the candidate
+    pairs: the edges are sorted by the left end of their bounding box, each
+    one is paired with the later edges that start no further right than it
+    ends, and pairs whose y-ranges are disjoint are dropped.  Both box
+    comparisons are inclusive, so boxes that only touch stay candidates.
+    Adjacent edges share a vertex, so they are candidates too; they need no
+    mask, and an edge folding back along its neighbour is caught either way,
+    because the vertex it folds onto also starts or ends an edge that is
+    not adjacent to the neighbour.
+
+    The narrow phase evaluates ``cross(v_j, v_{j+1}, v_k)``, the side of
+    edge j's line that vertex k lies on, for the four vertex-against-edge
+    orientations of each candidate pair.  Edges i and j cross properly iff
     each one's endpoints lie strictly on opposite sides of the other's line;
     a vertex touches edge j iff it is collinear with it, inside its bounding
-    box and not one of its endpoints.  The table is exactly 0 at an edge's
-    own endpoints, so adjacent edges never straddle each other.  O(n^2)
-    time and memory; polygons with fewer than 4 vertices are simple.
+    box and not one of its endpoints.  The orientation is exactly 0 at an
+    edge's own endpoints, so adjacent edges never straddle each other.
+    Pairs with disjoint boxes cannot intersect and are never evaluated; an
+    all-pairs test with these predicates can report a crossing for such a
+    pair when rounding meets nearly collinear vertices, this one cannot.
+
+    Cost is O(n log n + pairs) time and memory, O(n^2) when every box
+    overlaps every other; polygons with fewer than 4 vertices are simple.
     """
     n = len(p)
     if n < 4:
         return True
     pts, edge = p.points, p.edges
     x, y = pts[:, 0], pts[:, 1]
-    orient = np.subtract.outer(y, y)
-    orient *= edge[:, 0]
-    side = np.subtract.outer(x, x)
-    side *= edge[:, 1]
-    orient -= side
-    # side[i, j] < 0: v_i and v_{i+1} lie strictly on opposite sides of edge j
-    np.multiply(orient[:-1], orient[1:], out=side[:-1])
-    np.multiply(orient[-1], orient[0], out=side[-1])
-    straddle = side < 0
-    if np.any(straddle & straddle.T):
+    nxt = np.concatenate((pts[1:], pts[:1]))
+    lo, hi = np.minimum(pts, nxt), np.maximum(pts, nxt)
+    order = np.argsort(lo[:, 0], kind="stable")
+    ends = np.searchsorted(lo[order, 0], hi[order, 0], side="right")
+    # sorted edge s pairs with sorted edges s+1 .. ends[s]-1
+    counts = ends - np.arange(1, n + 1)
+    a = np.repeat(np.arange(n), counts)
+    b = a + 1 + (np.arange(a.size) - np.repeat(np.cumsum(counts) - counts, counts))
+    a, b = order[a], order[b]
+    keep = (lo[a, 1] <= hi[b, 1]) & (lo[b, 1] <= hi[a, 1])
+    a, b = a[keep], b[keep]
+    a1, b1 = (a + 1) % n, (b + 1) % n
+    # vertex k against edge j: a's endpoints against b, then b's against a
+    k = np.concatenate((a, a1, b, b1))
+    j = np.concatenate((b, b, a, a))
+    orient = (y[k] - y[j]) * edge[j, 0] - (x[k] - x[j]) * edge[j, 1]
+    m = a.size
+    a_across_b = orient[:m] * orient[m : 2 * m] < 0
+    b_across_a = orient[2 * m : 3 * m] * orient[3 * m :] < 0
+    if np.any(a_across_b & b_across_a):
         return False
-    k, j = np.nonzero(orient == 0)
+    zero = orient == 0
+    k, j = k[zero], j[zero]
     j1 = (j + 1) % n
     keep = (k != j) & (k != j1)
-    k, j, j1 = k[keep], j[keep], j1[keep]
-    lo, hi = np.minimum(pts[j], pts[j1]), np.maximum(pts[j], pts[j1])
-    return not bool(np.any(((lo <= pts[k]) & (pts[k] <= hi)).all(axis=1)))
+    k, j = k[keep], j[keep]
+    return not bool(np.any(((lo[j] <= pts[k]) & (pts[k] <= hi[j])).all(axis=1)))
 
 
 def read_polygon(path) -> Polygon:

@@ -87,56 +87,45 @@ def brute_force_mask(pts: np.ndarray, width: int, height: int) -> np.ndarray:
     return out
 
 
-def is_simple_all_pairs(p: ps.Polygon) -> bool:
+def is_simple_table(p: ps.Polygon) -> bool:
     """True iff no two non-adjacent edges intersect (even touching).
 
-    All-pairs segment intersection test, O(n^2) vectorized: the former body
-    of ``polyseg.is_simple``, kept as the differential-test oracle for the
-    orientation-table version.
+    The former body of ``polyseg.is_simple``, kept as the differential-test
+    oracle of the sort-and-sweep version: it evaluates every vertex-against-
+    edge orientation with the same floating-point expression, so the two
+    apply bit-identical predicates and differ only in the pairs they visit.
+
+    Every orientation the pairwise segment test needs is an entry of one
+    n x n table, ``orient[k, j] = cross(v_j, v_{j+1}, v_k)``, the side of
+    edge j's line that vertex k lies on.  Edges i and j cross properly iff
+    each one's endpoints lie strictly on opposite sides of the other's line;
+    a vertex touches edge j iff it is collinear with it, inside its bounding
+    box and not one of its endpoints.  The table is exactly 0 at an edge's
+    own endpoints, so adjacent edges never straddle each other.  O(n^2)
+    time and memory; polygons with fewer than 4 vertices are simple.
     """
-    pts = p.points
     n = len(p)
-    a1 = pts
-    a2 = np.roll(pts, -1, axis=0)
-    iu, ju = np.triu_indices(n, k=2)
-    # (0, n-1) are adjacent through the closing edge
-    keep = ~((iu == 0) & (ju == n - 1))
-    iu, ju = iu[keep], ju[keep]
-    if iu.size == 0:
+    if n < 4:
         return True
-    p1, p2 = a1[iu], a2[iu]
-    q1, q2 = a1[ju], a2[ju]
-
-    def cross(o, a, b):
-        return (a[:, 0] - o[:, 0]) * (b[:, 1] - o[:, 1]) - (a[:, 1] - o[:, 1]) * (
-            b[:, 0] - o[:, 0]
-        )
-
-    d1 = cross(q1, q2, p1)
-    d2 = cross(q1, q2, p2)
-    d3 = cross(p1, p2, q1)
-    d4 = cross(p1, p2, q2)
-    proper = (d1 * d2 < 0) & (d3 * d4 < 0)
-    if np.any(proper):
+    pts, edge = p.points, p.edges
+    x, y = pts[:, 0], pts[:, 1]
+    orient = np.subtract.outer(y, y)
+    orient *= edge[:, 0]
+    side = np.subtract.outer(x, x)
+    side *= edge[:, 1]
+    orient -= side
+    # side[i, j] < 0: v_i and v_{i+1} lie strictly on opposite sides of edge j
+    np.multiply(orient[:-1], orient[1:], out=side[:-1])
+    np.multiply(orient[-1], orient[0], out=side[-1])
+    straddle = side < 0
+    if np.any(straddle & straddle.T):
         return False
-
-    def on_seg(a, b, c, d):
-        # collinear c on segment a-b
-        return (
-            (d == 0)
-            & (np.minimum(a[:, 0], b[:, 0]) <= c[:, 0])
-            & (c[:, 0] <= np.maximum(a[:, 0], b[:, 0]))
-            & (np.minimum(a[:, 1], b[:, 1]) <= c[:, 1])
-            & (c[:, 1] <= np.maximum(a[:, 1], b[:, 1]))
-        )
-
-    touch = (
-        on_seg(q1, q2, p1, d1)
-        | on_seg(q1, q2, p2, d2)
-        | on_seg(p1, p2, q1, d3)
-        | on_seg(p1, p2, q2, d4)
-    )
-    return not bool(np.any(touch))
+    k, j = np.nonzero(orient == 0)
+    j1 = (j + 1) % n
+    keep = (k != j) & (k != j1)
+    k, j, j1 = k[keep], j[keep], j1[keep]
+    lo, hi = np.minimum(pts[j], pts[j1]), np.maximum(pts[j], pts[j1])
+    return not bool(np.any(((lo <= pts[k]) & (pts[k] <= hi)).all(axis=1)))
 
 
 def region_stats(img: ps.Image, mask: np.ndarray) -> ps.RegionStats:

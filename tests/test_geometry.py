@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 import polyseg as ps
 from polyseg.geometry import MIN_EDGE_LEN
 
-from helpers import is_simple_all_pairs, star_polygon
+from helpers import is_simple_table, star_polygon
 
 
 def _polygon(points):
@@ -62,6 +63,78 @@ def pushed_circles(draw):
     e = pts[(b + 1) % n] - pts[b]
     pts[a] = pts[b] + t * e + across * np.array([e[1], -e[0]])
     return pts
+
+
+def _dedupe(pts):
+    """Drop every vertex equal to its successor (closing pair included)."""
+    keep = np.any(pts != np.roll(pts, -1, axis=0), axis=1)
+    return pts[keep]
+
+
+@st.composite
+def dense_pushed_circles(draw):
+    """Dense half-pixel circles with one vertex pushed onto, exactly at or
+    +-0.25 px across a far edge."""
+    n = draw(st.integers(200, 1600))
+    th = 2 * np.pi * np.arange(n) / n
+    r = n / 4.0  # about 1.6 px per edge: rounding keeps neighbours apart
+    pts = np.round(np.column_stack([r + 5 + r * np.cos(th),
+                                    r + 5 + r * np.sin(th)]) * 2) / 2
+    a = draw(st.integers(0, n - 1))
+    b = (a + draw(st.integers(2, n - 3))) % n
+    t = draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(-0.5, 1.5))
+    across = draw(st.sampled_from([0.0, 0.0, 0.25, -0.25]))
+    e = pts[(b + 1) % n] - pts[b]
+    pts[a] = pts[b] + t * e + across * np.array([e[1], -e[0]]) / np.hypot(*e)
+    return pts
+
+
+@st.composite
+def pinched_arcs(draw):
+    """Two facing circular arcs pinched into a neck 0-1 px wide (or crossed),
+    joined at their ends: an hourglass."""
+    m = draw(st.integers(100, 800))
+    gap = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0, -0.25]) | st.floats(0, 1))
+    radius = draw(st.sampled_from([m / 2.0, float(m), 2.0 * m]))
+    arcs = []
+    for sign in (-1.0, 1.0):
+        # the lower arc runs right to left, the upper one back
+        phase = draw(st.sampled_from([0.0, 0.5]) | st.floats(0, 1))
+        phi = sign * ((np.arange(m) + phase) * (2.0 / m) - 1.0)
+        arcs.append(np.column_stack([radius * np.sin(phi),
+                                     sign * (radius + gap / 2 - radius * np.cos(phi))]))
+    return _dedupe(np.concatenate(arcs))
+
+
+@st.composite
+def snapped_stars(draw):
+    """Dense stars snapped to the pixel lattice and walked as a staircase:
+    many vertical edges of zero x-width with tied min-x."""
+    n = draw(st.integers(200, 1600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    th = 2 * np.pi * np.arange(n) / n
+    r = n / 8.0 * (1 + 0.2 * np.cos(rng.integers(2, 9) * th + rng.uniform(0, 2 * np.pi)))
+    r = r + rng.uniform(-0.6, 0.6, n) * draw(st.sampled_from([0.0, 1.0, 3.0]))
+    lat = np.round(np.column_stack([r * np.cos(th), r * np.sin(th)]))
+    if draw(st.booleans()):
+        corner = np.column_stack([lat[:, 0], np.roll(lat[:, 1], -1)])
+        lat = np.stack([lat, corner], axis=1).reshape(-1, 2)
+    return _dedupe(lat)
+
+
+@st.composite
+def corner_touching_combs(draw):
+    """Two facing zig-zags whose teeth boxes meet at corners, edges or not
+    at all, as the gap and the shift of the lower comb decide."""
+    m = draw(st.integers(50, 400))
+    gap = draw(st.sampled_from([0.0, 0.0, 0.5, 1.0, -0.5]))
+    shift = draw(st.sampled_from([0.0, 0.5, 1.0, 1.5]))
+    xs = np.arange(2 * m + 1, dtype=float)
+    upper = np.column_stack([xs, gap + (xs % 2)])
+    lower = np.column_stack([xs + shift, -(xs % 2)])
+    left = [(-3.0, gap + 5.0), (-3.0, -5.0)]
+    right = [(2 * m + 3.0, -5.0), (2 * m + 3.0, gap + 5.0)]
+    return _dedupe(np.concatenate([upper[::-1], left, lower, right]))
 
 
 class TestPolygonValidation:
@@ -304,17 +377,59 @@ class TestIsSimple:
         ([(0, 0), (1, 0), (2, 0)], True),
         # concave but simple
         ([(0, 0), (4, 0), (4, 4), (2, 1), (0, 4)], True),
+        # an edge folding back along its neighbour
+        ([(0, 0), (4, 0), (2, 0), (2, 3)], False),
     ])
     def test_explicit_cases(self, points, expected):
         p = ps.Polygon(points)
-        assert is_simple_all_pairs(p) is expected
+        assert is_simple_table(p) is expected
         assert ps.is_simple(p) is expected
 
     @given(random_polygons() | lattice_polygons() | half_pixel_stars() | pushed_circles())
     @settings(max_examples=600, deadline=None)
-    def test_matches_all_pairs_oracle(self, points):
+    def test_matches_table_oracle(self, points):
         p = _polygon(points)
-        assert ps.is_simple(p) == is_simple_all_pairs(p)
+        assert ps.is_simple(p) == is_simple_table(p)
+
+    @given(dense_pushed_circles() | pinched_arcs() | snapped_stars()
+           | corner_touching_combs())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_dense_matches_table_oracle(self, points):
+        p = _polygon(points)
+        assert ps.is_simple(p) == is_simple_table(p)
+
+    def test_collinear_edges_with_disjoint_boxes(self):
+        # A, B, C and D lie on one line in decimal; as floats the rounding
+        # of the orientations makes AB and CD straddle each other in the
+        # table, although their bounding boxes are disjoint
+        p = ps.Polygon([(6.08, 4.44), (4.24, 2.72), (1.48, 0.14), (-1.28, -2.44),
+                        (4.98, -1.76)])
+        assert not is_simple_table(p)
+        assert ps.is_simple(p)
+
+    def test_scales_to_dense_contours(self):
+        n = 1600
+        th = 2 * np.pi * np.arange(n) / n
+        r = 300 + np.random.default_rng(0).uniform(-0.3, 0.3, n)
+        p = ps.Polygon(np.column_stack([r * np.cos(th), r * np.sin(th)]))
+        tracemalloc.start()
+        try:
+            assert ps.is_simple(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6  # the n x n table needs 46 MB
+        # every chain edge spans the whole width: O(m^2) pairs overlap in x
+        m = 400
+        chain = np.column_stack([np.where(np.arange(m) % 2, 100.0, 0.0), np.arange(m)])
+        wall = [(-1.0, m), (-1.0, -1.0)]
+        zigzag = np.concatenate([chain, wall])
+        crossed = zigzag.copy()
+        crossed[m // 2, 1] += 2.5
+        for pts, expected in ((zigzag, True), (crossed, False)):
+            p = ps.Polygon(pts)
+            assert is_simple_table(p) is expected
+            assert ps.is_simple(p) is expected
 
 
 class TestPolygonIo:
