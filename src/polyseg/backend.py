@@ -29,7 +29,9 @@ def _crossings(xs, ys, factor: int, hs: int, ws: int):
     The sample grid has hs x ws centers; sample (sr, sc) sits at
     ((sc+0.5)/factor - 0.5, (sr+0.5)/factor - 0.5) in pixel coordinates,
     which is (sc, sr) itself at factor 1.  Returns (rows, cols) as int64
-    arrays, one entry per (edge, scanline) crossing.
+    arrays, one entry per (edge, scanline) crossing.  Under the half-open
+    rule a horizontal edge spans zero rows, so it is never expanded and its
+    zero height is never a divisor.
     """
     f = float(factor)
 
@@ -45,18 +47,12 @@ def _crossings(xs, ys, factor: int, hs: int, ws: int):
     y1 = np.asarray(ys, dtype=np.float64)
     x2 = np.roll(x1, -1)
     y2 = np.roll(y1, -1)
-    keep = y1 != y2
-    x1, y1, x2, y2 = x1[keep], y1[keep], x2[keep], y2[keep]
-    if x1.size == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
     r0 = np.maximum(np.ceil(to_sub(np.minimum(y1, y2))), 0.0).astype(np.int64)
     r1 = np.minimum(np.ceil(to_sub(np.maximum(y1, y2))) - 1.0, float(hs - 1)).astype(
         np.int64
     )
     counts = np.maximum(r1 - r0 + 1, 0)
     total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
     eidx = np.repeat(np.arange(x1.size), counts)
     starts = np.cumsum(counts) - counts
     rows = r0[eidx] + (np.arange(total) - np.repeat(starts, counts))
@@ -73,8 +69,7 @@ def fill_mask(xs, ys, width: int, height: int) -> np.ndarray:
     """
     rows, cols = _crossings(xs, ys, 1, height, width)
     flips = np.zeros((height, width + 1), dtype=np.int64)
-    if rows.size:
-        np.add.at(flips, (rows, cols), 1)
+    np.add.at(flips, (rows, cols), 1)
     # parity in place: one frame-sized int64 buffer for the whole fill
     np.cumsum(flips, axis=1, out=flips)
     flips &= 1
@@ -109,10 +104,8 @@ def ss_stats(prefix1: np.ndarray, prefix2: np.ndarray, xs, ys, factor: int):
     crossings costs one prefix difference, so a call is O(crossings * C).
     Returns (n_samples_inside, s1_in, s2_in) in sample units.
     """
-    hs, wcols, c = prefix1.shape
+    hs, wcols, _ = prefix1.shape
     rows, cols = _crossings(xs, ys, factor, hs, wcols - 1)
-    if rows.size == 0:
-        return 0.0, np.zeros(c), np.zeros(c)
     order = np.lexsort((cols, rows))
     rs = rows[order]
     cs = cols[order]

@@ -73,7 +73,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ginit.add_argument("--init-circle", metavar="CX,CY,R")
     ginit.add_argument("--poly", metavar="FILE")
     grad.add_argument("--eta", type=float, default=0.0)
-    grad.add_argument("--factor", type=int, default=16, choices=[2, 4, 8, 16])
+    grad.add_argument("--factor", type=int, default=16,
+                      choices=SupersampledEvaluator.FACTORS[1:])
     grad.add_argument("--h", type=float, default=0.25, help="displacement step (px)")
     grad.add_argument("--threshold", type=float, default=0.1)
     grad.add_argument("--gate", type=float, default=1e-4,
@@ -83,11 +84,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_circle(text: str):
-    parts = text.split(",")
+def _start_polygon(circle, path, vertices: int) -> Polygon:
+    """The CCW start polygon: an n-gon from "CX,CY,R", else the polygon file."""
+    if circle is None:
+        return ensure_ccw(read_polygon(path))
+    parts = circle.split(",")
     if len(parts) != 3:
         raise ValueError("expected CX,CY,R")
-    return float(parts[0]), float(parts[1]), float(parts[2])
+    cx, cy, r = map(float, parts)
+    return init_circle((cx, cy), r, vertices)
 
 
 def _load_for_mode(path: str, mode: str):
@@ -108,11 +113,7 @@ def _load_for_mode(path: str, mode: str):
 
 def _cmd_segment(args) -> int:
     work, raw = _load_for_mode(args.input, args.mode)
-    if args.init_circle:
-        cx, cy, r = _parse_circle(args.init_circle)
-        p0 = init_circle((cx, cy), r, args.vertices)
-    else:
-        p0 = ensure_ccw(read_polygon(args.init_poly))
+    p0 = _start_polygon(args.init_circle, args.init_poly, args.vertices)
     cfg = EvolveConfig(
         n_vertices=args.vertices,
         dt=args.dt,
@@ -192,13 +193,10 @@ def _cmd_gradcheck(args) -> int:
         raise ValueError("--gate must be non-negative and finite")
     if not (math.isfinite(args.threshold) and args.threshold > 0):
         raise ValueError("--threshold must be positive and finite")
-    raw = read_pnm(args.input)
-    img = to_gray(raw) if raw.colorspace == RGB else raw
-    if args.init_circle:
-        cx, cy, r = _parse_circle(args.init_circle)
-        p = init_circle((cx, cy), r, args.vertices)
-    else:
-        p = ensure_ccw(read_polygon(args.poly))
+    if not math.isfinite(args.eta):
+        raise ValueError("--eta must be finite")
+    img, _ = _load_for_mode(args.input, "gray")
+    p = _start_polygon(args.init_circle, args.poly, args.vertices)
 
     g = shape_gradient(img, p, args.eta)
     analytic = g.speeds * vertex_weights(p)

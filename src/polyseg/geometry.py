@@ -9,8 +9,9 @@ a simplicity test, and the text file format for polygons.
 
 The simplicity test is the guard that keeps the evolving polygon a valid
 boundary.  It runs on every candidate step, so a sort-and-sweep broad phase
-hands it only the edge pairs whose bounding boxes overlap: O(n log n +
-pairs) work, O(n^2) only when every box overlaps every other.
+hands it only the non-adjacent edge pairs whose bounding boxes overlap:
+O(n log n + pairs) work, O(n^2) only when every box overlaps every other.
+Triangles have no non-adjacent pairs and are simple by construction.
 """
 
 import numpy as np
@@ -176,30 +177,28 @@ def is_simple(p: Polygon) -> bool:
     A sort-and-sweep broad phase (Shamos & Hoey, 1976) lists the candidate
     pairs: the edges are sorted by the left end of their bounding box, each
     one is paired with the later edges that start no further right than it
-    ends, and pairs whose y-ranges are disjoint are dropped.  Both box
+    ends, and pairs whose y-ranges are disjoint or whose edges are adjacent
+    (the closing edge and edge 0 included) are dropped.  Both box
     comparisons are inclusive, so boxes that only touch stay candidates.
-    Adjacent edges share a vertex, so they are candidates too; they need no
-    mask, and an edge folding back along its neighbour is caught either way,
-    because the vertex it folds onto also starts or ends an edge that is
-    not adjacent to the neighbour.
+    A triangle has only adjacent pairs, so it is simple by construction.
 
     The narrow phase evaluates ``cross(v_j, v_{j+1}, v_k)``, the side of
     edge j's line that vertex k lies on, for the four vertex-against-edge
     orientations of each candidate pair.  Edges i and j cross properly iff
     each one's endpoints lie strictly on opposite sides of the other's line;
-    a vertex touches edge j iff it is collinear with it, inside its bounding
-    box and not one of its endpoints.  The orientation is exactly 0 at an
-    edge's own endpoints, so adjacent edges never straddle each other.
-    Pairs with disjoint boxes cannot intersect and are never evaluated; an
-    all-pairs test with these predicates can report a crossing for such a
-    pair when rounding meets nearly collinear vertices, this one cannot.
+    a vertex touches edge j iff it is collinear with it and inside its
+    bounding box (no vertex of a non-adjacent pair is an endpoint of the
+    other edge).  When edge i+1 folds back along edge i, v_{i+2} lies on
+    edge i or v_i on edge i+1, and edge i+2 or edge i-1, which that vertex
+    starts or ends, is not adjacent to it.  Pairs with disjoint boxes cannot
+    intersect and are never evaluated; an all-pairs test with these
+    predicates can report a crossing for such a pair when rounding meets
+    nearly collinear vertices, this one cannot.
 
     Cost is O(n log n + pairs) time and memory, O(n^2) when every box
-    overlaps every other; polygons with fewer than 4 vertices are simple.
+    overlaps every other.
     """
     n = len(p)
-    if n < 4:
-        return True
     pts, edge = p.points, p.edges
     x, y = pts[:, 0], pts[:, 1]
     nxt = np.concatenate((pts[1:], pts[:1]))
@@ -212,6 +211,7 @@ def is_simple(p: Polygon) -> bool:
     b = a + 1 + (np.arange(a.size) - np.repeat(np.cumsum(counts) - counts, counts))
     a, b = order[a], order[b]
     keep = (lo[a, 1] <= hi[b, 1]) & (lo[b, 1] <= hi[a, 1])
+    keep &= ((b - a) % n != 1) & ((a - b) % n != 1)
     a, b = a[keep], b[keep]
     a1, b1 = (a + 1) % n, (b + 1) % n
     # vertex k against edge j: a's endpoints against b, then b's against a
@@ -225,9 +225,6 @@ def is_simple(p: Polygon) -> bool:
         return False
     zero = orient == 0
     k, j = k[zero], j[zero]
-    j1 = (j + 1) % n
-    keep = (k != j) & (k != j1)
-    k, j = k[keep], j[keep]
     return not bool(np.any(((lo[j] <= pts[k]) & (pts[k] <= hi[j])).all(axis=1)))
 
 

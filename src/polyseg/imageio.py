@@ -173,7 +173,12 @@ def _require(params: dict, keys: tuple) -> list:
     missing = [k for k in keys if k not in params]
     if missing:
         raise BadParams(f"missing shape parameters: {', '.join(missing)}")
-    return [float(params[k]) for k in keys]
+    vals = [float(params[k]) for k in keys]
+    # every comparison with NaN is false, so no bounds check of synth_shape
+    # would reject it
+    if not np.all(np.isfinite(vals)):
+        raise BadParams("shape parameters must be finite")
+    return vals
 
 
 def synth_shape(kind: str, width: int, height: int, fg: float, bg: float, params: dict) -> Image:
@@ -190,7 +195,8 @@ def synth_shape(kind: str, width: int, height: int, fg: float, bg: float, params
     Raises
     ------
     BadParams
-        On out-of-range intensities or a shape exceeding the image bounds.
+        On out-of-range intensities, non-finite shape parameters or a shape
+        exceeding the image bounds.
     """
     if width < 1 or height < 1:
         raise BadParams("image dimensions must be positive")

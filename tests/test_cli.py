@@ -74,6 +74,30 @@ class TestSynth:
         ])
         assert rc == 1
 
+    SHAPES = {
+        "disk": ["--cx", "20", "--cy", "20", "--r", "12"],
+        "rectangle": ["--x0", "5", "--y0", "5", "--x1", "30", "--y1", "30"],
+        "annulus": ["--cx", "20", "--cy", "20", "--r-inner", "5", "--r-outer", "12"],
+        "two_blobs": ["--cx1", "12", "--cy1", "12", "--r1", "6",
+                      "--cx2", "28", "--cy2", "28", "--r2", "6"],
+    }
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("kind", sorted(SHAPES))
+    def test_non_finite_shape_parameter_exits_one(self, tmp_path, capsys, kind, value):
+        # NaN passes every bounds comparison, so each parameter is tried alone
+        params = self.SHAPES[kind]
+        out = tmp_path / "x.pgm"
+        base = ["synth", "--kind", kind, "--width", "40", "--height", "40",
+                "--out", str(out)]
+        assert main(base + params) == 0
+        out.unlink()
+        for i in range(1, len(params), 2):
+            bad = params[:i] + [value] + params[i + 1:]
+            assert main(base + bad) == 1, bad
+            assert "shape parameters must be finite" in capsys.readouterr().err
+            assert not out.exists()
+
 
 class TestSegment:
     def test_outputs_and_exit_zero(self, disk_pgm, tmp_path):
@@ -221,6 +245,12 @@ class TestSegment:
             "--init-poly", "x.txt", "--out", str(tmp_path / "o"),
         ])
         assert rc == 1
+        # an empty circle spec is a malformed circle, not a missing file
+        rc = main([
+            "segment", "--input", str(disk_pgm), "--init-circle", "",
+            "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 1
 
     def test_init_poly_file(self, disk_pgm, tmp_path):
         poly_path = tmp_path / "init.txt"
@@ -323,10 +353,13 @@ class TestGradcheck:
             ("--threshold", "-0.1", "positive and finite"),
             ("--threshold", "nan", "positive and finite"),
             ("--threshold", "inf", "positive and finite"),
+            ("--eta", "nan", "finite"),
+            ("--eta", "inf", "finite"),
         ],
     )
     def test_bad_gate_or_threshold_exits_one(self, blob_pgm, capsys, flag, value, rule):
-        # a non-finite gate would gate every vertex and pass with error 0
+        # a non-finite gate, or a non-finite eta that makes every analytic
+        # value NaN, would gate every vertex and pass with error 0
         rc = main([
             "gradcheck", "--input", str(blob_pgm), "--init-circle", "32,32,15",
             f"{flag}={value}",

@@ -381,9 +381,15 @@ class TestIsSimple:
         ([(0, 0), (4, 0), (2, 0), (2, 3)], False),
     ])
     def test_explicit_cases(self, points, expected):
-        p = ps.Polygon(points)
-        assert is_simple_table(p) is expected
-        assert ps.is_simple(p) is expected
+        # every cyclic rotation of both orientations: some rotation puts each
+        # edge, the fold-back included, on the closing edge, where the
+        # adjacency test wraps around
+        pts = np.array(points, dtype=np.float64)
+        for base in (pts, pts[::-1]):
+            for shift in range(len(pts)):
+                p = ps.Polygon(np.roll(base, shift, axis=0))
+                assert is_simple_table(p) is expected
+                assert ps.is_simple(p) is expected
 
     @given(random_polygons() | lattice_polygons() | half_pixel_stars() | pushed_circles())
     @settings(max_examples=600, deadline=None)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import polyseg as ps
@@ -218,6 +218,14 @@ class TestSupersampled:
         with pytest.raises(ValueError):
             ps.SupersampledEvaluator(img, 3)
 
+    def test_sliver_between_sample_rows_is_empty(self):
+        # factor-16 sample rows sit at y = 10.03125 and 10.09375: the sliver
+        # lies between them and crosses none
+        img = ps.Image(np.full((24, 24), 0.4), ps.GRAY)
+        p = ps.Polygon([(5.0, 10.04), (20.0, 10.05), (12.0, 10.08)])
+        with pytest.raises(ps.EmptyRegion):
+            ps.SupersampledEvaluator(img, 16).stats(p)
+
 
 class TestEvaluatorMatchesMask:
     """Factor-1 crossing stats against the mask fill plus moments sum."""
@@ -246,6 +254,10 @@ class TestEvaluatorMatchesMask:
 
     @given(star_polygons(), st.sampled_from([1, 3]))
     @settings(max_examples=80, deadline=None)
+    # a triangle between two rows of pixel centres crosses no scanline
+    @example(points=[(10.2, 5.1), (20.7, 5.4), (14.0, 5.9)], channels=1)
+    # a polygon wholly above and left of the frame
+    @example(points=[(-9.0, -9.0), (-3.0, -8.0), (-5.0, -2.0)], channels=3)
     def test_star_polygons(self, points, channels):
         self.check(points, channels)
 
