@@ -7,6 +7,7 @@ or degenerated during a ``segment`` run, which writes the partial trace;
 """
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -18,7 +19,7 @@ from .errors import PolysegError
 from .evolve import EvolveConfig, init_circle, run, write_trace_csv
 from .geometry import Polygon, ensure_ccw, read_polygon, vertex_weights, write_polygon
 from .image import GRAY, RGB, Image
-from .imageio import Rng, add_gaussian_noise, read_pnm, synth_shape, to_gray, write_pnm
+from .imageio import SHAPES, Rng, add_gaussian_noise, read_pnm, synth_shape, to_gray, write_pnm
 from .color import srgb_to_lab
 from .raster import SupersampledEvaluator
 from .svgout import data_uri, energy_svg, overlay_svg
@@ -37,15 +38,17 @@ def _build_parser() -> argparse.ArgumentParser:
     init = seg.add_mutually_exclusive_group(required=True)
     init.add_argument("--init-circle", metavar="CX,CY,R", help="initial circle")
     init.add_argument("--init-poly", metavar="FILE", help="initial polygon file")
-    seg.add_argument("--eta", type=float, default=0.1, help="boundary-length weight")
-    seg.add_argument("--dt", type=float, default=None,
-                     help="fixed step size (default: adaptive)")
-    seg.add_argument("--dt-cap", type=float, default=1e5)
-    seg.add_argument("--iters", type=int, default=500)
-    seg.add_argument("--e-thr", type=float, default=1e-4)
-    seg.add_argument("--vertices", type=int, default=100)
-    seg.add_argument("--resample-every", type=int, default=10)
-    seg.add_argument("--window", type=int, default=10)
+    # the tuning flags: dest is the EvolveConfig field, whose default they show
+    shown = "(default: %(default)s)"
+    seg.add_argument("--eta", type=float, help=f"boundary-length weight {shown}")
+    seg.add_argument("--dt", type=float, help="fixed step size (default: adaptive)")
+    seg.add_argument("--dt-cap", type=float, help=shown)
+    seg.add_argument("--iters", dest="max_iters", metavar="ITERS", type=int, help=shown)
+    seg.add_argument("--e-thr", type=float, help=shown)
+    seg.add_argument("--vertices", dest="n_vertices", metavar="VERTICES", type=int, help=shown)
+    seg.add_argument("--resample-every", type=int, help=shown)
+    seg.add_argument("--window", type=int, help=shown)
+    seg.set_defaults(**dataclasses.asdict(EvolveConfig()))
     seg.add_argument("--snapshot-every", type=int, default=0)
     seg.add_argument("--out", required=True, help="output directory")
     seg.add_argument(
@@ -55,14 +58,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     syn = sub.add_parser("synth", help="generate a synthetic test image")
-    syn.add_argument("--kind", required=True, choices=["disk", "rectangle", "annulus", "two_blobs"])
+    syn.add_argument("--kind", required=True, choices=list(SHAPES))
     syn.add_argument("--width", type=int, required=True)
     syn.add_argument("--height", type=int, required=True)
     syn.add_argument("--fg", type=float, default=0.9)
     syn.add_argument("--bg", type=float, default=0.1)
-    for name in ("cx", "cy", "r", "x0", "y0", "x1", "y1",
-                 "r-inner", "r-outer", "cx1", "cy1", "r1", "cx2", "cy2", "r2"):
-        syn.add_argument(f"--{name}", type=float, default=None)
+    for name in dict.fromkeys(name for names in SHAPES.values() for name in names):
+        syn.add_argument("--" + name.replace("_", "-"), type=float)
     syn.add_argument("--noise-sd", type=float, default=0.0, help="Gaussian SD on 0-255 scale")
     syn.add_argument("--seed", type=int, default=0)
     syn.add_argument("--out", required=True, help="output PGM path")
@@ -112,18 +114,11 @@ def _load_for_mode(path: str, mode: str):
 
 
 def _cmd_segment(args) -> int:
+    if args.snapshot_every < 0:
+        raise ValueError("--snapshot-every must be non-negative (0 means off)")
     work, raw = _load_for_mode(args.input, args.mode)
-    p0 = _start_polygon(args.init_circle, args.init_poly, args.vertices)
-    cfg = EvolveConfig(
-        n_vertices=args.vertices,
-        dt=args.dt,
-        dt_cap=args.dt_cap,
-        eta=args.eta,
-        max_iters=args.iters,
-        e_thr=args.e_thr,
-        resample_every=args.resample_every,
-        window=args.window,
-    )
+    p0 = _start_polygon(args.init_circle, args.init_poly, args.n_vertices)
+    cfg = EvolveConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(EvolveConfig)})
     os.makedirs(args.out, exist_ok=True)
     snapshots = []
 
@@ -173,16 +168,9 @@ def _cmd_segment(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    params = {}
-    for key in ("cx", "cy", "r", "x0", "y0", "x1", "y1",
-                "r_inner", "r_outer", "cx1", "cy1", "r1", "cx2", "cy2", "r2"):
-        val = getattr(args, key)
-        if val is not None:
-            params[key] = val
+    params = {k: getattr(args, k) for k in SHAPES[args.kind] if getattr(args, k) is not None}
     img = synth_shape(args.kind, args.width, args.height, args.fg, args.bg, params)
-    if args.noise_sd > 0:
-        img = add_gaussian_noise(img, args.noise_sd, Rng(args.seed))
-    write_pnm(img, args.out)
+    write_pnm(add_gaussian_noise(img, args.noise_sd, Rng(args.seed)), args.out)
     return 0
 
 

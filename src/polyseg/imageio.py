@@ -181,27 +181,35 @@ def _require(params: dict, keys: tuple) -> list:
     return vals
 
 
+# Synthetic shape kinds and their parameter names, in the order synth_shape
+# reads them.
+SHAPES = {
+    "disk": ("cx", "cy", "r"),
+    "rectangle": ("x0", "y0", "x1", "y1"),  # inclusive center bounds
+    "annulus": ("cx", "cy", "r_inner", "r_outer"),  # r_inner <= dist < r_outer
+    "two_blobs": ("cx1", "cy1", "r1", "cx2", "cy2", "r2"),  # union of two disks
+}
+
+
 def synth_shape(kind: str, width: int, height: int, fg: float, bg: float, params: dict) -> Image:
     """Synthetic grayscale test image with exact indicator geometry.
 
     Pixel centers strictly inside the shape get value fg, all others bg.
-    Kinds and their params:
-
-    * ``disk``: cx, cy, r
-    * ``rectangle``: x0, y0, x1, y1 (inclusive center bounds)
-    * ``annulus``: cx, cy, r_inner, r_outer (r_inner <= dist < r_outer)
-    * ``two_blobs``: cx1, cy1, r1, cx2, cy2, r2 (union of two disks)
+    ``SHAPES`` lists the kinds and the params each one reads.
 
     Raises
     ------
     BadParams
-        On out-of-range intensities, non-finite shape parameters or a shape
-        exceeding the image bounds.
+        On an unknown kind, out-of-range intensities, missing or non-finite
+        shape parameters or a shape exceeding the image bounds.
     """
     if width < 1 or height < 1:
         raise BadParams("image dimensions must be positive")
     if not (0.0 <= fg <= 1.0 and 0.0 <= bg <= 1.0):
         raise BadParams("fg and bg must lie in [0, 1]")
+    if kind not in SHAPES:
+        raise BadParams(f"unknown shape kind {kind!r}")
+    vals = _require(params, SHAPES[kind])
     ys, xs = np.mgrid[0:height, 0:width].astype(np.float64)
 
     def check_disk(cx, cy, r):
@@ -211,32 +219,28 @@ def synth_shape(kind: str, width: int, height: int, fg: float, bg: float, params
             raise BadParams("disk exceeds image bounds")
 
     if kind == "disk":
-        cx, cy, r = _require(params, ("cx", "cy", "r"))
+        cx, cy, r = vals
         check_disk(cx, cy, r)
         inside = (xs - cx) ** 2 + (ys - cy) ** 2 < r * r
     elif kind == "rectangle":
-        x0, y0, x1, y1 = _require(params, ("x0", "y0", "x1", "y1"))
+        x0, y0, x1, y1 = vals
         if not (0 <= x0 <= x1 <= width - 1 and 0 <= y0 <= y1 <= height - 1):
             raise BadParams("rectangle exceeds image bounds")
         inside = (xs >= x0) & (xs <= x1) & (ys >= y0) & (ys <= y1)
     elif kind == "annulus":
-        cx, cy, r_in, r_out = _require(params, ("cx", "cy", "r_inner", "r_outer"))
+        cx, cy, r_in, r_out = vals
         if not 0 < r_in < r_out:
             raise BadParams("annulus needs 0 < r_inner < r_outer")
         check_disk(cx, cy, r_out)
         d2 = (xs - cx) ** 2 + (ys - cy) ** 2
         inside = (d2 >= r_in * r_in) & (d2 < r_out * r_out)
-    elif kind == "two_blobs":
-        cx1, cy1, r1, cx2, cy2, r2 = _require(
-            params, ("cx1", "cy1", "r1", "cx2", "cy2", "r2")
-        )
+    else:  # two_blobs
+        cx1, cy1, r1, cx2, cy2, r2 = vals
         check_disk(cx1, cy1, r1)
         check_disk(cx2, cy2, r2)
         inside = ((xs - cx1) ** 2 + (ys - cy1) ** 2 < r1 * r1) | (
             (xs - cx2) ** 2 + (ys - cy2) ** 2 < r2 * r2
         )
-    else:
-        raise BadParams(f"unknown shape kind {kind!r}")
 
     data = np.where(inside, fg, bg)
     return Image(data, GRAY)
@@ -246,10 +250,11 @@ def add_gaussian_noise(img: Image, sd_255: float, rng: Rng) -> Image:
     """Additive Gaussian noise with SD given on the 0-255 scale, clamped.
 
     value' = clamp(value + N(0, sd_255/255), 0, 1), independently per
-    sample; identical seeds give bit-identical results.
+    sample; identical seeds give bit-identical results.  An SD of 0
+    returns a copy; a negative or non-finite SD raises ``BadParams``.
     """
-    if sd_255 < 0:
-        raise BadParams("noise SD must be non-negative")
+    if not (np.isfinite(sd_255) and sd_255 >= 0):
+        raise BadParams("noise SD must be non-negative and finite")
     if sd_255 == 0:
         return Image(img.data.copy(), img.colorspace)
     noise = rng.normals(img.data.size).reshape(img.data.shape) * (sd_255 / 255.0)

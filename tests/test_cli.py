@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import os
 import re
 import xml.etree.ElementTree as ET
@@ -8,7 +9,9 @@ import pytest
 
 import polyseg as ps
 import polyseg.backend
+import polyseg.cli
 import polyseg.evolve
+import polyseg.imageio
 import polyseg.svgout
 from polyseg.cli import main
 
@@ -99,7 +102,76 @@ class TestSynth:
             assert not out.exists()
 
 
+    @pytest.mark.parametrize("sd", ["-5", "nan", "inf"])
+    def test_bad_noise_sd_exits_one(self, tmp_path, capsys, sd):
+        out = tmp_path / "x.pgm"
+        rc = main([
+            "synth", "--kind", "disk", "--width", "40", "--height", "40",
+            "--cx", "20", "--cy", "20", "--r", "12", "--noise-sd", sd, "--out", str(out),
+        ])
+        assert rc == 1
+        assert "noise SD must be non-negative and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_kinds_and_shape_flags_come_from_the_table(self, capsys):
+        shapes = polyseg.imageio.SHAPES
+        assert main(["synth", "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        usage = text[: text.index(" options:")]
+        assert re.search(r"--kind \{([^}]*)\}", usage)[1].split(",") == list(shapes)
+        flags = list(dict.fromkeys(re.findall(r"--[a-z0-9-]+", usage)))
+        shape_flags = flags[flags.index("--bg") + 1 : flags.index("--noise-sd")]
+        names = dict.fromkeys(name for names in shapes.values() for name in names)
+        assert shape_flags == ["--" + name.replace("_", "-") for name in names]
+
+
 class TestSegment:
+    # each tuning flag and the EvolveConfig field it sets
+    TUNING = {
+        "--eta": "eta", "--dt": "dt", "--dt-cap": "dt_cap", "--iters": "max_iters",
+        "--e-thr": "e_thr", "--vertices": "n_vertices",
+        "--resample-every": "resample_every", "--window": "window",
+    }
+
+    def test_defaults_are_the_evolve_config_defaults(self, disk_pgm, tmp_path, monkeypatch):
+        seen = []
+
+        def capture(img, p0, cfg, callback=None):
+            seen.append((len(p0), cfg))
+            raise ps.PolysegError("captured")
+
+        monkeypatch.setattr(polyseg.cli, "run", capture)
+        rc = main([
+            "segment", "--input", str(disk_pgm), "--init-circle", "60,60,52",
+            "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 1
+        assert seen == [(ps.EvolveConfig().n_vertices, ps.EvolveConfig())]
+
+    def test_help_shows_the_evolve_config_defaults(self, capsys):
+        cfg = ps.EvolveConfig()
+        assert sorted(self.TUNING.values()) == sorted(f.name for f in dataclasses.fields(cfg))
+        assert main(["segment", "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        options = text[text.index(" options:") :]
+        entries = {e.split()[0]: e for e in re.split(r" (?=--[a-z])", options)}
+        for flag, name in self.TUNING.items():
+            shown = re.search(r"\(default: ([^)]*)\)", entries[flag])[1]
+            default = getattr(cfg, name)
+            if default is None:
+                assert shown == "adaptive", flag
+            else:
+                assert type(default)(shown) == default, flag
+
+    def test_negative_snapshot_every_exits_one(self, disk_pgm, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = main(segment_args(disk_pgm, out, extra=["--snapshot-every", "-3"]))
+        assert rc == 1
+        assert "--snapshot-every" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(segment_args(disk_pgm, out, extra=["--snapshot-every", "0"])) == 0
+        assert not list(out.glob("snapshot_*.svg"))
+
     def test_outputs_and_exit_zero(self, disk_pgm, tmp_path):
         out = tmp_path / "run"
         rc = main(segment_args(disk_pgm, out, extra=["--snapshot-every", "20"]))

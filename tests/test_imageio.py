@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyseg as ps
+from polyseg.imageio import SHAPES
 
 
 class TestReadPnm:
@@ -198,6 +199,12 @@ class TestSynthShape:
         with pytest.raises(ps.BadParams):
             ps.synth_shape("disk", 64, 64, 0.9, 0.1, {"cx": 32})
 
+    @pytest.mark.parametrize("kind", list(SHAPES))
+    def test_missing_params_are_the_table_entry(self, kind):
+        missing = ", ".join(SHAPES[kind])
+        with pytest.raises(ps.BadParams, match=f"missing shape parameters: {missing}$"):
+            ps.synth_shape(kind, 64, 64, 0.9, 0.1, {})
+
 
 class TestNoise:
     def test_zero_sd_identity(self):
@@ -223,6 +230,12 @@ class TestNoise:
         img = ps.Image(np.full((32, 32), 0.02), ps.GRAY)
         noisy = ps.add_gaussian_noise(img, 60.0, ps.Rng(3))
         assert noisy.data.min() >= 0.0 and noisy.data.max() <= 1.0
+
+    @pytest.mark.parametrize("sd", [-5.0, float("nan"), float("inf")])
+    def test_negative_or_non_finite_sd_raises(self, sd):
+        img = ps.Image(np.full((8, 8), 0.3), ps.GRAY)
+        with pytest.raises(ps.BadParams, match="non-negative and finite"):
+            ps.add_gaussian_noise(img, sd, ps.Rng(1))
 
 
 class TestRng:
