@@ -15,9 +15,9 @@ import sys
 import numpy as np
 
 from .energy import shape_gradient, supersampled_energy
-from .errors import PolysegError
+from .errors import DegeneratePolygon, PolysegError
 from .evolve import EvolveConfig, init_circle, run, write_trace_csv
-from .geometry import Polygon, ensure_ccw, read_polygon, vertex_weights, write_polygon
+from .geometry import Polygon, ensure_ccw, is_simple, read_polygon, vertex_weights, write_polygon
 from .image import GRAY, RGB, Image
 from .imageio import SHAPES, Rng, add_gaussian_noise, read_pnm, synth_shape, to_gray, write_pnm
 from .color import srgb_to_lab
@@ -32,7 +32,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    seg = sub.add_parser("segment", help="run a segmentation")
+    # flags match only in full: a prefix such as --dt would otherwise set
+    # --dt-cap, a field the command line did not name
+    seg = sub.add_parser("segment", help="run a segmentation", allow_abbrev=False)
     seg.add_argument("--input", required=True, help="input PGM/PPM image")
     seg.add_argument("--mode", choices=["gray", "rgb", "lab"], default="gray")
     init = seg.add_mutually_exclusive_group(required=True)
@@ -41,7 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
     # the tuning flags: dest is the EvolveConfig field, whose default they show
     shown = "(default: %(default)s)"
     seg.add_argument("--eta", type=float, help=f"boundary-length weight {shown}")
-    seg.add_argument("--dt", type=float, help="fixed step size (default: adaptive)")
     seg.add_argument("--dt-cap", type=float, help=shown)
     seg.add_argument("--iters", dest="max_iters", metavar="ITERS", type=int, help=shown)
     seg.add_argument("--e-thr", type=float, help=shown)
@@ -57,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="reference the input raster by path instead of embedding it",
     )
 
-    syn = sub.add_parser("synth", help="generate a synthetic test image")
+    syn = sub.add_parser("synth", help="generate a synthetic test image", allow_abbrev=False)
     syn.add_argument("--kind", required=True, choices=list(SHAPES))
     syn.add_argument("--width", type=int, required=True)
     syn.add_argument("--height", type=int, required=True)
@@ -69,7 +70,8 @@ def _build_parser() -> argparse.ArgumentParser:
     syn.add_argument("--seed", type=int, default=0)
     syn.add_argument("--out", required=True, help="output PGM path")
 
-    grad = sub.add_parser("gradcheck", help="finite-difference gradient validation")
+    grad = sub.add_parser("gradcheck", help="finite-difference gradient validation",
+                          allow_abbrev=False)
     grad.add_argument("--input", required=True)
     ginit = grad.add_mutually_exclusive_group(required=True)
     ginit.add_argument("--init-circle", metavar="CX,CY,R")
@@ -87,9 +89,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _start_polygon(circle, path, vertices: int) -> Polygon:
-    """The CCW start polygon: an n-gon from "CX,CY,R", else the polygon file."""
+    """The CCW start polygon: an n-gon from "CX,CY,R", else the polygon file.
+
+    A polygon file may cross itself, and is then rejected with
+    ``DegeneratePolygon``; an n-gon is simple by construction.
+    """
     if circle is None:
-        return ensure_ccw(read_polygon(path))
+        p = ensure_ccw(read_polygon(path))
+        if not is_simple(p):
+            raise DegeneratePolygon("initial polygon is not simple")
+        return p
     parts = circle.split(",")
     if len(parts) != 3:
         raise ValueError("expected CX,CY,R")

@@ -98,9 +98,7 @@ def region_shape_gradient(img: Image, stats: RegionStats, points: np.ndarray) ->
 
 def _gradient_from_stats(img: Image, p: Polygon, eta: float, stats: RegionStats) -> GradientField:
     """Gradient field for a polygon whose region statistics are already known."""
-    speeds = region_shape_gradient(img, stats, p.points)
-    if eta != 0.0:
-        speeds = speeds + eta * discrete_curvature(p)
+    speeds = region_shape_gradient(img, stats, p.points) + eta * discrete_curvature(p)
     return GradientField(speeds=speeds, normals=outward_normals(p))
 
 

@@ -8,10 +8,15 @@ against its normal speed:
     v_i  <-  v_i - dt * speed_i * n_i
 
 with periodic arc-length resampling and a windowed relative-energy
-convergence test.  The step size is adaptive by default: dt is capped so
-no vertex moves more than half a pixel per iteration and never exceeds
-``dt_cap`` (which provides genuine settling near equilibria, where
-displacement-normalized steps would jitter forever).
+convergence test.  One rule sets the step size:
+
+    dt = min(dt_cap, 0.5 px / max_i |speed_i|)   (dt_cap if all speeds are 0)
+
+The pixel cap alone is not enough.  Under pure curve shortening of a
+100-gon of radius 50 at eta 1e-4 (acceptance test 06), a half-pixel step
+is dt = 2.5e5, about 20 times the explicit stability limit of the
+curvature term, and the circle ends 100 iterations at a radius spread of
+1.18e-2 r; with dt_cap 1e4 it stays within 1e-6 r.
 """
 
 import math
@@ -37,7 +42,7 @@ from .raster import SupersampledEvaluator, rasterize_mask
 # noise-dominated and the contour is considered collapsed.
 COLLAPSE_PIXELS = 16
 
-# Adaptive mode displacement cap (px per iteration) for the fastest vertex.
+# Displacement cap (px per iteration) for the fastest vertex.
 MAX_STEP_PX = 0.5
 
 
@@ -45,8 +50,10 @@ MAX_STEP_PX = 0.5
 class EvolveConfig:
     """Evolution parameters.
 
-    dt=None selects the adaptive step size
-    min(dt_cap, 0.5 px / max_i |speed_i|); a positive dt fixes it.  dt,
+    The step size is min(dt_cap, 0.5 px / max_i |speed_i|), or dt_cap when
+    every speed is 0.  dt_cap keeps the step below the explicit stability
+    limit of the curvature term where the pixel cap alone would exceed it
+    (see the module docstring); a small dt_cap gives a fixed small step.
     dt_cap, eta and e_thr must be finite, and eta must not be negative: a
     negative length weight rewards longer polygons, so the energy would
     have no lower bound.  n_vertices, max_iters, resample_every and window
@@ -54,7 +61,6 @@ class EvolveConfig:
     """
 
     n_vertices: int = 100
-    dt: float | None = None
     dt_cap: float = 1e5
     eta: float = 0.1
     max_iters: int = 500
@@ -63,17 +69,14 @@ class EvolveConfig:
     window: int = 10
 
     def __post_init__(self):
-        for name in ("dt", "dt_cap", "eta", "e_thr"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+        for name in ("dt_cap", "eta", "e_thr"):
+            if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         for name in ("n_vertices", "max_iters", "resample_every", "window"):
             if not isinstance(getattr(self, name), numbers.Integral):
                 raise ValueError(f"{name} must be an integer")
         if self.n_vertices < 3:
             raise ValueError("n_vertices must be at least 3")
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError("fixed dt must be positive")
         if self.dt_cap <= 0:
             raise ValueError("dt_cap must be positive")
         if self.eta < 0:
@@ -127,34 +130,32 @@ def init_circle(center, radius: float, n: int) -> Polygon:
     return Polygon(pts)
 
 
-def _moved(p: Polygon, g: GradientField, dt: float, bounds) -> np.ndarray:
-    """Vertices after one descent update, clamped to the frame when bounded."""
-    pts = p.points - dt * g.speeds[:, None] * g.normals
-    if bounds is not None:
-        w, h = bounds
-        pts[:, 0] = np.clip(pts[:, 0], 0.0, w - 1.0)
-        pts[:, 1] = np.clip(pts[:, 1], 0.0, h - 1.0)
-    return pts
-
-
-def step(p: Polygon, g: GradientField, dt: float, bounds=None) -> Polygon:
+def step(p: Polygon, g: GradientField, dt: float, bounds) -> tuple[Polygon, float]:
     """One descent update: v_i - dt * speed_i * n_i, clamped to the frame.
 
-    bounds, when given, is (width, height); coordinates are clamped to
-    [0, W-1] x [0, H-1].  The clamp can put neighbouring vertices on one
-    frame point, or within rounding of it: every vertex that lands within
+    bounds is (width, height); coordinates are clamped to [0, W-1] x
+    [0, H-1].  The clamp can put neighbouring vertices on one frame point,
+    or within rounding of it: every vertex that lands within
     ``MIN_EDGE_LEN`` of its successor (closing edge included), the edge
     length ``Polygon`` rejects, is dropped, and the next resample restores
     the vertex count.
+
+    Returns the new polygon and the largest vertex displacement, measured
+    before the drop, so a dropped vertex counts too.
 
     Raises
     ------
     DegeneratePolygon
         If fewer than 3 vertices are left.
     """
-    pts = _moved(p, g, dt, bounds)
+    w, h = bounds
+    pts = p.points - dt * g.speeds[:, None] * g.normals
+    pts[:, 0] = np.clip(pts[:, 0], 0.0, w - 1.0)
+    pts[:, 1] = np.clip(pts[:, 1], 0.0, h - 1.0)
+    disp = pts - p.points
+    max_disp = float(np.max(np.hypot(disp[:, 0], disp[:, 1])))
     gap = np.concatenate((pts[1:], pts[:1])) - pts
-    return Polygon(pts[np.hypot(gap[:, 0], gap[:, 1]) > MIN_EDGE_LEN])
+    return Polygon(pts[np.hypot(gap[:, 0], gap[:, 1]) > MIN_EDGE_LEN]), max_disp
 
 
 def converged(trace: list[TraceRow], e_thr: float, window: int) -> bool:
@@ -216,29 +217,17 @@ def run(img: Image, p0: Polygon, cfg: EvolveConfig, callback=None) -> Segmentati
 
             g = _gradient_from_stats(img, p, cfg.eta, stats)
             max_speed = float(np.max(np.abs(g.speeds)))
-            if cfg.dt is not None:
-                dt = cfg.dt
-            elif max_speed > 0.0:
-                dt = min(cfg.dt_cap, MAX_STEP_PX / max_speed)
-            else:
-                dt = cfg.dt_cap
+            dt = min(cfg.dt_cap, MAX_STEP_PX / max_speed) if max_speed > 0.0 else cfg.dt_cap
 
             # topology safeguard: halve dt while the step self-intersects, at
             # most 4 times; a fifth non-simple candidate is kept and flagged
-            p_new = step(p, g, dt, bounds=(w, h))
-            halvings = 0
-            while not is_simple(p_new):
-                if halvings == 4:
-                    flagged += 1
+            for halvings in range(5):
+                p_new, max_disp = step(p, g, dt * 0.5**halvings, (w, h))
+                if is_simple(p_new):
                     break
-                dt *= 0.5
-                halvings += 1
-                p_new = step(p, g, dt, bounds=(w, h))
+            else:
+                flagged += 1
 
-            # a vertex that step dropped moved too
-            moved = p_new.points if len(p_new) == len(p) else _moved(p, g, dt, (w, h))
-            disp = moved - p.points
-            max_disp = float(np.max(np.hypot(disp[:, 0], disp[:, 1])))
             trace.append(
                 TraceRow(iter=k, e1=eb.e1, e2=eb.e2, e3=eb.e3, total=eb.total,
                          area=stats.area_in, max_disp=max_disp)

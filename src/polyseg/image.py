@@ -51,10 +51,6 @@ class Image:
     def height(self) -> int:
         return self.data.shape[0]
 
-    @property
-    def channels(self) -> int:
-        return self.data.shape[2]
-
 
 def _cell(u, n: int):
     """Interpolation cells of coordinates u on an axis of n samples.

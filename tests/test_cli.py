@@ -128,7 +128,7 @@ class TestSynth:
 class TestSegment:
     # each tuning flag and the EvolveConfig field it sets
     TUNING = {
-        "--eta": "eta", "--dt": "dt", "--dt-cap": "dt_cap", "--iters": "max_iters",
+        "--eta": "eta", "--dt-cap": "dt_cap", "--iters": "max_iters",
         "--e-thr": "e_thr", "--vertices": "n_vertices",
         "--resample-every": "resample_every", "--window": "window",
     }
@@ -158,10 +158,7 @@ class TestSegment:
         for flag, name in self.TUNING.items():
             shown = re.search(r"\(default: ([^)]*)\)", entries[flag])[1]
             default = getattr(cfg, name)
-            if default is None:
-                assert shown == "adaptive", flag
-            else:
-                assert type(default)(shown) == default, flag
+            assert type(default)(shown) == default, flag
 
     def test_negative_snapshot_every_exits_one(self, disk_pgm, tmp_path, capsys):
         out = tmp_path / "o"
@@ -310,6 +307,13 @@ class TestSegment:
         assert rc == 1
         assert "eta must not be negative" in capsys.readouterr().err
 
+    def test_flag_prefixes_are_usage_errors(self, disk_pgm, tmp_path):
+        # the removed --dt does not pass as an abbreviation of --dt-cap
+        for flag in ("--dt", "--vert"):
+            out = tmp_path / flag.strip("-")
+            assert main(segment_args(disk_pgm, out, extra=[flag, "12"])) == 1
+            assert not out.exists()
+
     def test_usage_error_exits_one(self, disk_pgm, tmp_path):
         # both init specs at once
         rc = main([
@@ -406,6 +410,16 @@ class TestGradcheck:
             "gradcheck", "--input", str(blob_pgm), "--init-circle", "500,500,10",
         ])
         assert rc == 1
+
+    def test_self_intersecting_poly_exits_one(self, disk_pgm, tmp_path, capsys):
+        # a bad start polygon is an input error, not a gradient defect
+        poly_path = tmp_path / "star.txt"
+        ps.write_polygon(pentagram((60, 60), 40), poly_path)
+        rc = main(["gradcheck", "--input", str(disk_pgm), "--poly", str(poly_path)])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "initial polygon is not simple" in err
 
     @pytest.mark.parametrize("h", ["0", "-0.25", "nan", "inf"])
     def test_bad_step_exits_one(self, blob_pgm, capsys, h):

@@ -46,8 +46,9 @@ class TestStep:
             speeds=np.zeros(20),
             normals=ps.outward_normals(p),
         )
-        q = ps.step(p, g, 123.0)
+        q, max_disp = ps.step(p, g, 123.0, (20, 20))
         assert np.array_equal(q.points, p.points)
+        assert max_disp == 0.0
 
     def test_dt_zero_identity(self):
         p = ps.init_circle((10, 10), 5, 20)
@@ -55,18 +56,20 @@ class TestStep:
             speeds=np.ones(20),
             normals=ps.outward_normals(p),
         )
-        q = ps.step(p, g, 0.0)
+        q, max_disp = ps.step(p, g, 0.0, (20, 20))
         assert np.array_equal(q.points, p.points)
+        assert max_disp == 0.0
 
     def test_curvature_shrinkage_on_constant_image(self):
-        # fixed dt: every vertex moves inward by dt * eta / r
+        # every vertex moves inward by dt * eta / r
         img = ps.Image(np.full((64, 64), 0.5), ps.GRAY)
         r0, eta, dt = 12.0, 0.2, 5.0
         p = ps.init_circle((32, 32), r0, 48)
         g = ps.shape_gradient(img, p, eta)
-        q = ps.step(p, g, dt)
+        q, max_disp = ps.step(p, g, dt, (64, 64))
         d = np.hypot(q.points[:, 0] - 32, q.points[:, 1] - 32)
         assert np.abs(d - (r0 - dt * eta / r0)).max() < 1e-9
+        assert max_disp == pytest.approx(dt * eta / r0, rel=1e-9)
 
     def test_clamped_to_frame(self):
         p = ps.init_circle((5, 5), 4.5, 16)
@@ -74,7 +77,7 @@ class TestStep:
             speeds=-np.ones(16),  # outward push
             normals=ps.outward_normals(p),
         )
-        q = ps.step(p, g, 1.0, bounds=(10, 10))
+        q, _ = ps.step(p, g, 1.0, (10, 10))
         assert q.points.min() >= 0.0
         assert q.points.max() <= 9.0
         assert q.points.max() == 9.0  # clamping engaged
@@ -85,24 +88,25 @@ class TestStep:
 
     def test_drops_vertices_clamped_onto_one_corner(self):
         p = ps.Polygon([[-3.0, -1.0], [-1.0, -3.0], [8.0, 1.0], [8.0, 8.0], [1.0, 8.0]])
-        q = ps.step(p, self.still(p), 1.0, bounds=(10, 10))
+        q, max_disp = ps.step(p, self.still(p), 1.0, (10, 10))
         assert q.points.tolist() == [[0.0, 0.0], [8.0, 1.0], [8.0, 8.0], [1.0, 8.0]]
+        assert max_disp == math.hypot(3.0, 1.0)  # the dropped vertex's move counts
 
     def test_drops_across_the_closing_edge(self):
         p = ps.Polygon([[-1.0, -3.0], [8.0, 1.0], [8.0, 8.0], [1.0, 8.0], [-3.0, -1.0]])
-        q = ps.step(p, self.still(p), 1.0, bounds=(10, 10))
+        q, _ = ps.step(p, self.still(p), 1.0, (10, 10))
         assert q.points.tolist() == [[0.0, 0.0], [8.0, 1.0], [8.0, 8.0], [1.0, 8.0]]
 
     def test_drops_vertex_clamped_within_rounding_of_its_successor(self):
         # (-3, 1e-15) clamps to (0, 1e-15), an edge Polygon would reject
         p = ps.Polygon([[-3.0, 1e-15], [-1.0, -3.0], [8.0, 1.0], [8.0, 8.0], [1.0, 8.0]])
-        q = ps.step(p, self.still(p), 1.0, bounds=(10, 10))
+        q, _ = ps.step(p, self.still(p), 1.0, (10, 10))
         assert q.points.tolist() == [[0.0, 0.0], [8.0, 1.0], [8.0, 8.0], [1.0, 8.0]]
 
     def test_fewer_than_three_left_raises(self):
         p = ps.Polygon([[-3.0, -1.0], [-1.0, -3.0], [8.0, 8.0]])
         with pytest.raises(ps.DegeneratePolygon, match="at least 3"):
-            ps.step(p, self.still(p), 1.0, bounds=(10, 10))
+            ps.step(p, self.still(p), 1.0, (10, 10))
 
 
 class TestConverged:
@@ -153,7 +157,7 @@ class TestRun:
         img = ps.Image(np.full((64, 64), 0.5), ps.GRAY)
         p0 = ps.init_circle((32, 32), 6, 30)
         # pure curvature flow shrinks the small circle below the guard
-        cfg = ps.EvolveConfig(n_vertices=30, eta=0.5, dt=12.0, max_iters=400,
+        cfg = ps.EvolveConfig(n_vertices=30, eta=0.5, dt_cap=12.0, max_iters=400,
                               e_thr=1e-12)
         with pytest.raises(ps.EmptyRegion) as exc_info:
             ps.run(img, p0, cfg)
@@ -287,11 +291,23 @@ class TestRun:
         assert seen == list(range(15))
 
     def test_adaptive_displacement_cap(self, disk_noisy):
-        # safeguard: adaptive dt never moves a vertex by more than 1 px
+        # the pixel cap binds: the fastest vertex moves exactly 0.5 px
         p0 = ps.init_circle((100, 100), 90, 100)
         cfg = ps.EvolveConfig(n_vertices=100, eta=5e-4, max_iters=120)
         res = ps.run(disk_noisy, p0, cfg)
-        assert max(r.max_disp for r in res.trace) <= 1.0
+        assert len(res.trace) == 120
+        assert all(abs(r.max_disp - 0.5) < 1e-12 for r in res.trace)
+
+    def test_dt_cap_binds_as_a_fixed_small_step(self):
+        # pure curvature flow on a circle: speed eta / r, far below the
+        # pixel cap, so the step is dt_cap and moves every vertex
+        # dt_cap * eta / r
+        img = ps.Image(np.full((128, 128), 0.5), ps.GRAY)
+        p0 = ps.init_circle((64, 64), 50, 100)
+        cfg = ps.EvolveConfig(n_vertices=100, eta=1e-4, dt_cap=1e4, max_iters=1)
+        res = ps.run(img, p0, cfg)
+        expected = cfg.dt_cap * cfg.eta / 50.0
+        assert res.trace[0].max_disp == pytest.approx(expected, rel=1e-9)
 
     def test_pure_curvature_flow_circle_stays_circular(self):
         img = ps.Image(np.full((128, 128), 0.5), ps.GRAY)
@@ -403,7 +419,7 @@ class TestEvolveConfig:
     def test_defaults(self):
         cfg = ps.EvolveConfig()
         assert cfg.n_vertices == 100
-        assert cfg.dt is None
+        assert cfg.dt_cap == 1e5
         assert cfg.eta == 0.1
         assert cfg.max_iters == 500
         assert cfg.e_thr == 1e-4
@@ -414,7 +430,7 @@ class TestEvolveConfig:
         "kwargs",
         [
             {"n_vertices": 2},
-            {"dt": -1.0},
+            {"dt_cap": 0.0},
             {"max_iters": 0},
             {"e_thr": 0.0},
             {"resample_every": 0},
@@ -434,7 +450,7 @@ class TestEvolveConfig:
             ps.EvolveConfig(**kwargs)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
-    @pytest.mark.parametrize("name", ["dt", "dt_cap", "e_thr", "eta"])
+    @pytest.mark.parametrize("name", ["dt_cap", "e_thr", "eta"])
     def test_non_finite(self, name, value):
         with pytest.raises(ValueError, match=name):
             ps.EvolveConfig(**{name: value})
