@@ -12,8 +12,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .energy import shape_gradient, supersampled_energy
 from .errors import DegeneratePolygon, PolysegError
 from .evolve import EvolveConfig, init_circle, run, write_trace_csv
@@ -149,10 +147,7 @@ def _cmd_segment(args) -> int:
 
     write_trace_csv(result.trace, os.path.join(args.out, "trace.csv"))
     write_polygon(result.final_polygon, os.path.join(args.out, "final_polygon.txt"))
-    write_pnm(
-        Image(result.final_mask.astype(np.float64), GRAY),
-        os.path.join(args.out, "final_mask.pgm"),
-    )
+    write_pnm(Image(result.final_mask, GRAY), os.path.join(args.out, "final_mask.pgm"))
 
     color_mode = args.mode in ("rgb", "lab")
     init_color, final_color = ("blue", "red") if color_mode else ("green", "yellow")

@@ -1,8 +1,8 @@
 """PNM image I/O, grayscale conversion, synthetic shapes, and seeded noise.
 
 Reading supports P2/P5 (PGM) and P3/P6 (PPM) with maxval 255 or 65535;
-writing emits maxval-255 files.  Sample values are stored as floats in
-[0, 1] (raw values divided by maxval).
+writing emits binary (P5/P6) maxval-255 files only.  Sample values are
+stored as floats in [0, 1] (raw values divided by maxval).
 """
 
 import numpy as np
@@ -56,6 +56,7 @@ class _Tokens:
     def __init__(self, data: bytes):
         self.data = data
         self.pos = 0
+        self.eof = "unexpected end of PNM header"  # raised on running out of tokens
 
     def next(self) -> bytes:
         d, i = self.data, self.pos
@@ -68,7 +69,7 @@ class _Tokens:
             else:
                 break
         if i >= len(d):
-            raise ParseError("unexpected end of PNM header")
+            raise ParseError(self.eof)
         j = i
         while j < len(d) and not d[j : j + 1].isspace() and d[j] != ord("#"):
             j += 1
@@ -113,10 +114,15 @@ def read_pnm(path) -> Image:
     count = width * height * channels
 
     if magic in (b"P2", b"P3"):
+        # each sample takes a digit and all but the last a separator, so a
+        # header claiming more than the file holds is refused unallocated
+        if len(raw) - tok.pos < 2 * count - 1:
+            raise ParseError("truncated PNM payload")
+        tok.eof = "truncated PNM payload"
         vals = np.empty(count, dtype=np.float64)
         for k in range(count):
-            # capped so that a sample too large for a float is rejected below
-            vals[k] = min(tok.next_int(), maxval + 1)
+            # capped at both ends so a sample too large for a float is rejected below
+            vals[k] = min(max(tok.next_int(), -1), maxval + 1)
     else:
         # exactly one whitespace byte separates maxval from the payload
         if tok.pos >= len(raw) or not raw[tok.pos : tok.pos + 1].isspace():
@@ -136,29 +142,29 @@ def read_pnm(path) -> Image:
 
 def quantize8(data: np.ndarray) -> np.ndarray:
     """Samples in [0, 1] as uint8: round(value*255) clamped to [0, 255]."""
-    return np.clip(np.rint(data * 255.0), 0, 255).astype(np.uint8)
+    buf = data * 255.0  # rounded and clipped in place: one float64 temporary
+    np.rint(buf, out=buf)
+    np.clip(buf, 0, 255, out=buf)
+    return buf.astype(np.uint8)
 
 
-def write_pnm(img: Image, path, binary: bool = True) -> None:
-    """Write a GRAY image as PGM or an RGB image as PPM, maxval 255.
+def _pnm_bytes(quant: np.ndarray) -> bytes:
+    """An (H, W, 1 or 3) uint8 array as binary PGM or PPM bytes, maxval 255."""
+    h, w, c = quant.shape
+    return b"%s\n%d %d\n255\n" % (b"P5" if c == 1 else b"P6", w, h) + quant.tobytes()
+
+
+def write_pnm(img: Image, path) -> None:
+    """Write a GRAY image as PGM or an RGB image as PPM, binary, maxval 255.
 
     Samples are quantized by :func:`quantize8`.  LAB images are refused;
     convert or retag first.
     """
     if img.colorspace not in (GRAY, RGB):
         raise WrongColorspace(f"cannot write {img.colorspace} data as PNM")
-    quant = quantize8(img.data)
-    gray = img.colorspace == GRAY
-    magic = (b"P5" if gray else b"P6") if binary else (b"P2" if gray else b"P3")
-    header = b"%s\n%d %d\n255\n" % (magic, img.width, img.height)
+    data = _pnm_bytes(quantize8(img.data))
     with open(path, "wb") as fh:
-        fh.write(header)
-        if binary:
-            fh.write(quant.tobytes())
-        else:
-            flat = quant.reshape(img.height, -1)
-            for row in flat:
-                fh.write(" ".join(str(v) for v in row).encode("ascii") + b"\n")
+        fh.write(data)
 
 
 def to_gray(img: Image) -> Image:

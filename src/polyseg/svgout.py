@@ -7,24 +7,13 @@ a base64 PPM data URI (:func:`data_uri`) or referenced by path.
 """
 
 import base64
-from io import BytesIO
 
 import numpy as np
 
 from .evolve import TraceRow
 from .geometry import Polygon
 from .image import GRAY, Image
-from .imageio import quantize8
-
-
-def _ppm_bytes(img: Image) -> bytes:
-    quant = quantize8(img.data)
-    if img.colorspace == GRAY:
-        quant = np.repeat(quant, 3, axis=2)
-    buf = BytesIO()
-    buf.write(b"P6\n%d %d\n255\n" % (img.width, img.height))
-    buf.write(quant.tobytes())
-    return buf.getvalue()
+from .imageio import _pnm_bytes, quantize8
 
 
 def _points_attr(p: Polygon) -> str:
@@ -33,8 +22,14 @@ def _points_attr(p: Polygon) -> str:
 
 
 def data_uri(img: Image) -> str:
-    """The raster as a base64 PPM data URI, for the href of its overlays."""
-    b64 = base64.b64encode(_ppm_bytes(img)).decode("ascii")
+    """The raster as a base64 PPM data URI, for the href of its overlays.
+
+    Gray samples are copied into three channels, so every raster is a PPM.
+    """
+    quant = quantize8(img.data)
+    if img.colorspace == GRAY:
+        quant = np.repeat(quant, 3, axis=2)
+    b64 = base64.b64encode(_pnm_bytes(quant)).decode("ascii")
     return f"data:image/x-portable-pixmap;base64,{b64}"
 
 

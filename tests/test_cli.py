@@ -2,6 +2,7 @@ import base64
 import dataclasses
 import os
 import re
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -19,7 +20,6 @@ from helpers import blob_image, pentagram
 
 SVG_IMAGE = "{http://www.w3.org/2000/svg}image"
 XLINK_HREF = "{http://www.w3.org/1999/xlink}href"
-ppm_bytes = polyseg.svgout._ppm_bytes
 
 
 @pytest.fixture()
@@ -186,12 +186,15 @@ class TestSegment:
 
     def test_overlay_svg_structure(self, disk_pgm, tmp_path, monkeypatch):
         encoded = []
+        encode = polyseg.imageio._pnm_bytes
 
-        def counting_ppm_bytes(img):
-            encoded.append(img)
-            return ppm_bytes(img)
+        def counting_pnm_bytes(quant):
+            encoded.append(quant.shape[2])
+            return encode(quant)
 
-        monkeypatch.setattr(polyseg.svgout, "_ppm_bytes", counting_ppm_bytes)
+        # the one 8-bit encoder, under its name in each module that calls it
+        for module in (polyseg.imageio, polyseg.svgout):
+            monkeypatch.setattr(module, "_pnm_bytes", counting_pnm_bytes)
         out = tmp_path / "run"
         rc = main(segment_args(disk_pgm, out, extra=["--snapshot-every", "20"]))
         assert rc == 0
@@ -205,7 +208,8 @@ class TestSegment:
             snap_root = ET.parse(snap).getroot()
             assert len(snap_root.findall(".//{http://www.w3.org/2000/svg}polyline")) == 1
             assert snap_root.find(SVG_IMAGE).get(XLINK_HREF) == href
-        assert len(encoded) == 1  # one raster encoding serves every overlay
+        # the mask as a PGM, and one raster encoding serves every overlay
+        assert sorted(encoded) == [1, 3]
 
     @pytest.mark.parametrize("channels", [1, 3])
     def test_overlay_embeds_quantized_input(self, tmp_path, channels):
@@ -228,6 +232,28 @@ class TestSegment:
         expected = b"P6\n50 40\n255\n" + np.repeat(quant, 3 // channels, axis=2).tobytes()
         assert base64.b64decode(href[len(prefix):]) == expected
 
+    def test_peak_memory_of_run_and_outputs(self, tmp_path):
+        # a run must hold the image and its two (H, W+1) row prefix tables;
+        # the mask, the overlay raster and the rest may add a quarter more
+        n = 512
+        path = tmp_path / "disk.pgm"
+        assert main([
+            "synth", "--kind", "disk", "--width", str(n), "--height", str(n),
+            "--cx", "256", "--cy", "256", "--r", "150", "--noise-sd", "25",
+            "--seed", "1", "--out", str(path),
+        ]) == 0
+        tracemalloc.start()
+        try:
+            rc = main([
+                "segment", "--input", str(path), "--init-circle", "256,256,180",
+                "--vertices", "100", "--eta", "1e-4", "--out", str(tmp_path / "o"),
+            ])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < 1.25 * 8 * (n * n + 2 * n * (n + 1))  # 7.87 MB
+
     def test_reproducible_byte_identical(self, disk_pgm, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         assert main(segment_args(disk_pgm, out1)) == 0
@@ -241,6 +267,21 @@ class TestSegment:
             "--init-circle", "10,10,5", "--out", str(tmp_path / "o"),
         ])
         assert rc == 1
+
+    @pytest.mark.parametrize("content", [
+        b"P2\n50000 50000\n255\n0 1 2\n",  # header far larger than the file
+        b"P2\n2 2\n255\n0 255 128\n",  # one sample short
+        b"P2\n1 1\n255\n-" + b"9" * 400 + b"\n",  # too negative for a float
+    ], ids=["huge-header", "one-short", "huge-negative"])
+    def test_malformed_ascii_input_exits_one(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(content)
+        rc = main([
+            "segment", "--input", str(path), "--init-circle", "1,1,1",
+            "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 1
+        assert "polyseg: error: " in capsys.readouterr().err
 
     def test_init_outside_image_exits_two(self, disk_pgm, tmp_path):
         rc = main([

@@ -54,11 +54,23 @@ class TestReadPnm:
         b"P2\n1 1\n255\n" + b"9" * 400 + b"\n",  # too large for a float
         b"P2\n2 1\n255\n-5 7\n",
         b"P3\n1 1\n255\n0 -1 0\n",
+        b"P2\n1 1\n255\n-" + b"9" * 400 + b"\n",  # too negative for a float
     ])
     def test_sample_outside_maxval(self, tmp_path, content):
         path = tmp_path / "a.pnm"
         path.write_bytes(content)
         with pytest.raises(ps.ParseError, match="outside"):
+            ps.read_pnm(path)
+
+    @pytest.mark.parametrize("content", [
+        b"P2\n50000 50000\n255\n0 1 2\n",  # header far larger than the file
+        b"P2\n2 2\n255\n0 255 128\n",  # one sample short
+        b"P3\n1 1\n255\n10 20 # a comment, not a sample\n",
+    ], ids=["huge-header", "one-short", "comment-not-sample"])
+    def test_truncated_ascii_payload(self, tmp_path, content):
+        path = tmp_path / "a.pnm"
+        path.write_bytes(content)
+        with pytest.raises(ps.ParseError, match="truncated PNM payload"):
             ps.read_pnm(path)
 
     def test_samples_at_zero_and_maxval(self, tmp_path):
@@ -93,7 +105,12 @@ class TestWritePnm:
         quant = rng.integers(0, 256, (5, 7, channels)) / 255.0
         img = ps.Image(quant, ps.GRAY if channels == 1 else ps.RGB)
         path = tmp / "x.pnm"
-        ps.write_pnm(img, path, binary=binary)
+        if binary:
+            ps.write_pnm(img, path)
+        else:  # write_pnm writes binary only; the ASCII file is built here
+            magic = b"P2" if channels == 1 else b"P3"
+            samples = " ".join(str(v) for v in np.rint(quant * 255).astype(int).ravel())
+            path.write_bytes(b"%s\n7 5\n255\n%s\n" % (magic, samples.encode("ascii")))
         back = ps.read_pnm(path)
         assert back.colorspace == img.colorspace
         assert np.array_equal(back.data, img.data)
