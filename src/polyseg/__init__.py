@@ -9,7 +9,7 @@ derived quantity has one owner: a ``RegionStats`` carries the region means
 and variances and rejects an empty side, and a ``Polygon`` carries its
 ``edges`` and edge ``lengths``.  ``supersampled_energy`` turns an
 evaluator's statistics into an energy, and ``bilinear_sample`` and the
-supersampled field share one cell rule.
+supersampled evaluator share one cell rule.
 """
 
 from .backend import BACKEND

@@ -16,9 +16,14 @@ as given, so :func:`ss_stats` selects exactly the pixels :func:`fill_mask`
 sets.  Every region statistic of the package comes from :func:`ss_stats`;
 nothing in the package calls :func:`mask_stats`, which serves the tests'
 mask-based oracle and a perfbench probe.
+
+Above factor 1 no subsample field exists: a run of inside subsamples
+costs a blend of two pixel rows' prefix differences (see :func:`ss_stats`).
 """
 
 import numpy as np
+
+from .image import _cell
 
 BACKEND = "numpy"
 
@@ -98,14 +103,19 @@ def mask_stats(data: np.ndarray, mask: np.ndarray):
 def ss_stats(prefix1: np.ndarray, prefix2: np.ndarray, xs, ys, factor: int):
     """Region sums of a polygon over the sample grid, from its crossings only.
 
-    prefix1/prefix2 are (Hs, Ws+1, C) row-wise prefix sums of the sampled
-    intensity and its square (column 0 is zero), on the grid described in
-    :func:`_crossings`.  Each run of inside samples between a pair of
-    crossings costs one prefix difference, so a call is O(crossings * C).
-    Returns (n_samples_inside, s1_in, s2_in) in sample units.
+    At factor 1, prefix1/prefix2 are (H, W+1, C) row-wise prefix sums of
+    the pixels and of their squares (column 0 is zero).  Above it, with a_i
+    the pixel rows interpolated onto the Ws = factor*W subsample columns,
+    prefix1 holds the prefix sums of a_i and prefix2 stacks those of a_i^2
+    (Q) and of a_i*a_(i+1) (X; a_i^2 on the last row), all (H, Ws+1, C).
+    Subsample row r is (1-t)*a_i0 + t*a_i1, with (i0, i1, t) the ``_cell``
+    of its center as in ``bilinear_sample``, so a run of inside samples
+    costs a blend of prefix differences of two rows.  A call is
+    O(crossings * C).  Returns (n_samples_inside, s1_in, s2_in) in sample
+    units, on the grid described in :func:`_crossings`.
     """
-    hs, wcols, _ = prefix1.shape
-    rows, cols = _crossings(xs, ys, factor, hs, wcols - 1)
+    h, wcols, _ = prefix1.shape
+    rows, cols = _crossings(xs, ys, factor, h * factor, wcols - 1)
     order = np.lexsort((cols, rows))
     rs = rows[order]
     cs = cols[order]
@@ -113,6 +123,18 @@ def ss_stats(prefix1: np.ndarray, prefix2: np.ndarray, xs, ys, factor: int):
         raise RuntimeError("scanline crossing parity broken")
     ra, ca, cb = rs[0::2], cs[0::2], cs[1::2]
     nsub = float(np.sum(cb - ca))
-    s1 = (prefix1[ra, cb] - prefix1[ra, ca]).sum(axis=0)
-    s2 = (prefix2[ra, cb] - prefix2[ra, ca]).sum(axis=0)
+    if factor == 1:
+        s1 = (prefix1[ra, cb] - prefix1[ra, ca]).sum(axis=0)
+        s2 = (prefix2[ra, cb] - prefix2[ra, ca]).sum(axis=0)
+        return nsub, s1, s2
+    i0, i1, t = _cell((ra + 0.5) / factor - 0.5, h)
+    t = t[:, None]
+    u = 1.0 - t
+    q, x = prefix2
+
+    def run(table, i):
+        return table[i, cb] - table[i, ca]
+
+    s1 = (u * run(prefix1, i0) + t * run(prefix1, i1)).sum(axis=0)
+    s2 = (u * u * run(q, i0) + 2.0 * t * u * run(x, i0) + t * t * run(q, i1)).sum(axis=0)
     return nsub, s1, s2

@@ -5,6 +5,8 @@ writing emits binary (P5/P6) maxval-255 files only.  Sample values are
 stored as floats in [0, 1] (raw values divided by maxval).
 """
 
+import re
+
 import numpy as np
 
 from .errors import BadParams, ParseError, UnsupportedFormat, WrongColorspace
@@ -50,13 +52,19 @@ class Rng:
         return out[:n]
 
 
+def _int(tok: bytes, what: str) -> int:
+    try:
+        return int(tok)
+    except ValueError as exc:
+        raise ParseError(f"expected integer {what}, got {tok!r}") from exc
+
+
 class _Tokens:
     """Whitespace/comment-aware tokenizer over PNM header bytes."""
 
     def __init__(self, data: bytes):
         self.data = data
         self.pos = 0
-        self.eof = "unexpected end of PNM header"  # raised on running out of tokens
 
     def next(self) -> bytes:
         d, i = self.data, self.pos
@@ -69,7 +77,7 @@ class _Tokens:
             else:
                 break
         if i >= len(d):
-            raise ParseError(self.eof)
+            raise ParseError("unexpected end of PNM header")
         j = i
         while j < len(d) and not d[j : j + 1].isspace() and d[j] != ord("#"):
             j += 1
@@ -77,11 +85,7 @@ class _Tokens:
         return d[i:j]
 
     def next_int(self) -> int:
-        tok = self.next()
-        try:
-            return int(tok)
-        except ValueError as exc:
-            raise ParseError(f"expected integer in PNM header, got {tok!r}") from exc
+        return _int(self.next(), "in PNM header")
 
 
 def read_pnm(path) -> Image:
@@ -114,15 +118,22 @@ def read_pnm(path) -> Image:
     count = width * height * channels
 
     if magic in (b"P2", b"P3"):
-        # each sample takes a digit and all but the last a separator, so a
-        # header claiming more than the file holds is refused unallocated
-        if len(raw) - tok.pos < 2 * count - 1:
+        # one pass: drop comments, split once, then convert the first count
+        # tokens; the token list is bounded by the file, whatever count says
+        tokens = re.sub(rb"#[^\r\n]*", b"", raw[tok.pos :]).split()
+        if len(tokens) < count:
             raise ParseError("truncated PNM payload")
-        tok.eof = "truncated PNM payload"
-        vals = np.empty(count, dtype=np.float64)
-        for k in range(count):
-            # capped at both ends so a sample too large for a float is rejected below
-            vals[k] = min(max(tok.next_int(), -1), maxval + 1)
+        del tokens[count:]
+        try:
+            ints = list(map(int, tokens))
+        except ValueError:
+            for t in tokens:  # raises on the first token that is no integer
+                _int(t, "PNM sample")
+            raise
+        try:
+            vals = np.array(ints, dtype=np.int64)
+        except OverflowError as exc:  # beyond int64, so beyond any maxval
+            raise ParseError(f"PNM sample outside [0, {maxval}]") from exc
     else:
         # exactly one whitespace byte separates maxval from the payload
         if tok.pos >= len(raw) or not raw[tok.pos : tok.pos + 1].isspace():

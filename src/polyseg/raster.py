@@ -8,10 +8,12 @@ exactly on an edge follow the half-open top-left convention (see
 :class:`SupersampledEvaluator` is the one path from a polygon to its
 :class:`RegionStats`: at factor 1 it gives the exact pixel statistics the
 energy, the shape gradient and the evolution loop use, at higher factors
-the fractional ones of the gradient check.  A :class:`RegionStats` derives
-the region means and variances itself and is the one place that rejects an
-empty side.  :func:`rasterize_mask` selects the same pixels as an explicit
-mask; it serves the final mask of a run.
+the fractional ones of the gradient check.  Its set-up is
+O(factor * H * W) and builds no subsample field; each run of inside
+subsamples costs a blend of two pixel rows.  A :class:`RegionStats`
+derives the region means and variances itself and is the one place that
+rejects an empty side.  :func:`rasterize_mask` selects the same pixels as
+an explicit mask; it serves the final mask of a run.
 """
 
 from dataclasses import dataclass, field
@@ -85,28 +87,6 @@ def rasterize_mask(p: Polygon, width: int, height: int) -> np.ndarray:
     return mask
 
 
-def _upsample_bilinear(data: np.ndarray, factor: int, out: np.ndarray) -> None:
-    """Bilinear upsample of (H, W, C) data onto the subsample grid.
-
-    Subsample (sr, sc) is centered at ((sc+0.5)/factor - 0.5,
-    (sr+0.5)/factor - 0.5) and interpolated on the same clamped cells as
-    ``bilinear_sample``.  The result is written into out, an (H*factor,
-    W*factor, C) array or view, one subsample row at a time, so no
-    temporary of the whole field is made.
-    """
-    h, w = data.shape[:2]
-
-    def centers(n):
-        return (np.arange(n * factor, dtype=np.float64) + 0.5) / factor - 0.5
-
-    j0, j1, tx = _cell(centers(w), w)
-    i0, i1, ty = _cell(centers(h), h)
-    rows = data[:, j0, :] * (1.0 - tx)[None, :, None] + data[:, j1, :] * tx[None, :, None]
-    for sr in range(h * factor):
-        np.multiply(rows[i0[sr]], 1.0 - ty[sr], out=out[sr])
-        out[sr] += rows[i1[sr]] * ty[sr]
-
-
 class SupersampledEvaluator:
     """Region statistics of polygons on a factor-refined sample grid.
 
@@ -118,9 +98,14 @@ class SupersampledEvaluator:
     makes the evaluator the smooth-energy oracle of finite-difference
     gradient checks.
 
-    Row prefix sums of the samples and of their squares are built once per
-    (image, factor); :meth:`stats` then sums prefix differences at the
-    polygon's scanline crossings only, without touching the full frame.
+    At factor 1, row prefix sums of the pixels and of their squares are
+    built once per image.  Above it no subsample field is built: every
+    subsample row is a blend of two pixel rows interpolated onto the
+    subsample columns, so prefix sums of those rows, of their squares and
+    of each row times the next one serve every subsample row.  Set-up is
+    O(factor * H * W).  :meth:`stats` then sums prefix differences at the
+    polygon's scanline crossings only, each run above factor 1 as a blend
+    of two pixel rows (``backend.ss_stats``), without touching the frame.
     """
 
     FACTORS = (1, 2, 4, 8, 16)
@@ -129,26 +114,28 @@ class SupersampledEvaluator:
         if factor not in self.FACTORS:
             raise ValueError(f"factor must be one of {self.FACTORS}")
         self.factor = factor
-        h, w, c = img.data.shape
-        hs, ws = h * factor, w * factor
-        # one block for both tables: the allocator hands a single large block
-        # back to the OS when it is freed, where two smaller ones can stay in
+        rows = img.data
+        h, w, c = rows.shape
+        if factor > 1:
+            j0, j1, tx = _cell((np.arange(w * factor) + 0.5) / factor - 0.5, w)
+            rows = rows[:, j0, :] * (1.0 - tx)[None, :, None] + rows[:, j1, :] * tx[None, :, None]
+        # one block for all tables: the allocator hands a single large block
+        # back to the OS when it is freed, where smaller ones can stay in
         # the heap and raise the peak RSS of a process that runs many images
-        self._prefix1, self._prefix2 = np.zeros((2, hs, ws + 1, c))
-        # samples, squares and their prefix sums in place: no (Hs, Ws, C)
-        # temporary next to the tables
-        s1, s2 = self._prefix1[:, 1:, :], self._prefix2[:, 1:, :]
-        if factor == 1:
-            np.cumsum(img.data, axis=1, out=s1)
-            np.multiply(img.data, img.data, out=s2)
-        else:
-            _upsample_bilinear(img.data, factor, out=s1)
-            np.multiply(s1, s1, out=s2)
-            np.cumsum(s1, axis=1, out=s1)
-        np.cumsum(s2, axis=1, out=s2)
-        self._total_sub = float(hs * ws)
-        self._s1_all = self._prefix1[:, -1, :].sum(axis=0)
-        self._s2_all = self._prefix2[:, -1, :].sum(axis=0)
+        tables = np.zeros((2 if factor == 1 else 3, h, rows.shape[1] + 1, c))
+        np.cumsum(rows, axis=1, out=tables[0, :, 1:])
+        np.multiply(rows, rows, out=tables[1, :, 1:])
+        if factor > 1:
+            # each row times the next; the last row, clamped, times itself
+            np.multiply(rows[:-1], rows[1:], out=tables[2, :-1, 1:])
+            tables[2, -1] = tables[1, -1]
+        np.cumsum(tables[1:, :, 1:], axis=2, out=tables[1:, :, 1:])
+        self._prefix1 = tables[0]
+        self._prefix2 = tables[1] if factor == 1 else tables[1:]
+        # frame totals: the sums over a rectangle around every sample
+        self._total_sub, self._s1_all, self._s2_all = backend.ss_stats(
+            self._prefix1, self._prefix2, [-1, w, w, -1], [-1, -1, h, h], factor
+        )
 
     def stats(self, p: Polygon) -> RegionStats:
         """RegionStats of the polygon, in pixel-area units.

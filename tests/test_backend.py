@@ -6,9 +6,8 @@ import numpy as np
 
 import polyseg as ps
 from polyseg import backend
-from polyseg.raster import _upsample_bilinear
 
-from helpers import blob_image
+from helpers import blob_image, upsample_bilinear
 
 
 def test_backend_name_valid():
@@ -29,7 +28,7 @@ def test_upsample_matches_bilinear_sample():
     img = blob_image(16, 12)
     factor = 4
     up = np.empty((12 * factor, 16 * factor, 1))
-    _upsample_bilinear(img.data, factor, out=up)
+    upsample_bilinear(img.data, factor, out=up)
     sc = np.arange(16 * factor)
     sr = np.arange(12 * factor)
     xs = (sc + 0.5) / factor - 0.5

@@ -73,6 +73,26 @@ class TestReadPnm:
         with pytest.raises(ps.ParseError, match="truncated PNM payload"):
             ps.read_pnm(path)
 
+    @pytest.mark.parametrize("content", [
+        b"P2\n2 1\n255\n7 abc\n",
+        b"P3\n1 1\n255\n1 2 3x\n",
+    ])
+    def test_non_integer_sample_is_named(self, tmp_path, content):
+        path = tmp_path / "a.pnm"
+        path.write_bytes(content)
+        with pytest.raises(ps.ParseError, match="expected integer PNM sample, got b'(abc|3x)'"):
+            ps.read_pnm(path)
+
+    def test_large_ascii_file_matches_binary_twin(self, tmp_path):
+        # 1024x1024 samples: the ASCII payload is read in one pass
+        q = np.random.default_rng(11).integers(0, 256, (1024, 1024), dtype=np.uint8)
+        (tmp_path / "a.pgm").write_bytes(
+            b"P2\n1024 1024\n255\n" + " ".join(map(str, q.ravel())).encode() + b"\n")
+        (tmp_path / "b.pgm").write_bytes(b"P5\n1024 1024\n255\n" + q.tobytes())
+        ascii_img, binary_img = ps.read_pnm(tmp_path / "a.pgm"), ps.read_pnm(tmp_path / "b.pgm")
+        assert ascii_img.colorspace == binary_img.colorspace == ps.GRAY
+        assert np.array_equal(ascii_img.data, binary_img.data)
+
     def test_samples_at_zero_and_maxval(self, tmp_path):
         path = tmp_path / "a.pgm"
         path.write_bytes(b"P5\n2 1\n15\n\x00\x0f")

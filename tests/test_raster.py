@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import polyseg as ps
-from helpers import brute_force_mask, naive_region_sums, region_stats, star_polygon
+from helpers import (
+    brute_force_mask,
+    full_field_stats,
+    naive_region_sums,
+    region_stats,
+    star_polygon,
+)
 
 FRAME = 64
 
@@ -265,3 +272,72 @@ class TestEvaluatorMatchesMask:
     @settings(max_examples=80, deadline=None)
     def test_lattice_polygons(self, points, channels):
         self.check(points, channels)
+
+
+# (height, width): a frame, one pixel row, one pixel column
+SHAPES = ((20, 24), (1, 24), (20, 1))
+SHAPED = {(hw, c): ps.Image(np.random.default_rng(hw[0] + 7 * hw[1] + c)
+                            .uniform(0, 1, (*hw, c)), ps.GRAY if c == 1 else ps.RGB)
+          for hw in SHAPES for c in (1, 3)}
+
+
+@st.composite
+def frame_stars(draw):
+    """Random star polygons on the frame of a shape in SHAPES.
+
+    Centres lie up to 30% of each side outside the frame and radii reach
+    past it, so polygons cover the frame, clip it or miss it.
+    """
+    h, w = draw(st.sampled_from(SHAPES))
+    n = draw(st.integers(3, 40))
+    cx = draw(st.floats(-0.3, 1.3)) * w
+    cy = draw(st.floats(-0.3, 1.3)) * h
+    r_mean = draw(st.floats(0.3, 1.2)) * max(h, w)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    th = np.sort(rng.uniform(0, 2 * np.pi, n))
+    r = r_mean * rng.uniform(0.3, 1.0, n)
+    return (h, w), np.column_stack([cx + r * np.cos(th), cy + r * np.sin(th)])
+
+
+class TestBlendedRowsMatchFullField:
+    """Factor > 1 stats from blended pixel rows against the upsampled field."""
+
+    @given(frame_stars(), st.sampled_from([1, 3]), st.sampled_from([2, 4, 8, 16]))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    # the sliver between two factor-16 sample rows: both sides find it empty
+    @example(star=((20, 24), [(5.0, 10.04), (20.0, 10.05), (12.0, 10.08)]),
+             channels=1, factor=16)
+    def test_star_polygons(self, star, channels, factor):
+        shape, points = star
+        img = SHAPED[shape, channels]
+        p = ps.Polygon(points)
+        try:
+            ref = full_field_stats(img, factor, p)
+        except ps.EmptyRegion:
+            with pytest.raises(ps.EmptyRegion):
+                ps.SupersampledEvaluator(img, factor).stats(p)
+            return
+        got = ps.SupersampledEvaluator(img, factor).stats(p)
+        assert got.area_in == ref.area_in
+        assert got.area_out == ref.area_out
+        # the blend and the field's prefix sums round differently; both
+        # split the same frame total, which sets the scale of the rounding
+        for name in ("s1", "s2"):
+            total = getattr(ref, f"{name}_in") + getattr(ref, f"{name}_out")
+            for side in ("in", "out"):
+                a = getattr(got, f"{name}_{side}")
+                b = getattr(ref, f"{name}_{side}")
+                assert np.all(np.abs(a - b) <= 1e-14 * total), (name, side)
+
+    def test_set_up_memory_is_a_few_pixel_row_tables(self):
+        # the factor-16 set-up builds (H, 16W+1) tables, not the (16H, 16W)
+        # field: its peak stays below six such tables
+        img = ps.Image(np.random.default_rng(0).uniform(0, 1, (256, 256)), ps.GRAY)
+        bound = 6 * 256 * (16 * 256 + 1) * 8
+        tracemalloc.start()
+        try:
+            ps.SupersampledEvaluator(img, 16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (peak, bound)
