@@ -72,8 +72,8 @@ def supersampled_energy(ev: SupersampledEvaluator, p: Polygon, eta: float) -> En
     carries the bilinearly interpolated intensity and contributes
     fractionally to the region moments, which gives the smooth energy of
     the gradient check.  The evaluator's set-up is O(factor * H * W) and
-    builds no subsample field; each run of inside subsamples costs a blend
-    of two pixel rows.
+    builds no subsample field; each scanline crossing costs a blend of two
+    pixel rows.
     """
     return breakdown_from_stats(ev.stats(p), polygon_perimeter(p), eta)
 

@@ -106,6 +106,22 @@ class TraceRow:
 
 @dataclass
 class SegmentationResult:
+    """Outcome of :func:`run`, or the ``partial`` of an error it raised.
+
+    ``trace`` has one row per finished iteration (``iterations_run`` is its
+    length) and ``converged`` says whether the energy test stopped the run.
+    ``final_mask`` holds the pixels of ``final_polygon`` under the even-odd
+    rule (all zero in a ``partial``).
+
+    ``flagged_steps`` counts the steps taken although their fourth halving
+    still self-intersected, and ``final_simple`` says whether
+    ``final_polygon`` is simple.  The loop holds a non-simple polygon after
+    a flagged step or, rarely, after a resample that cuts across the
+    contour; such a resample is not counted in ``flagged_steps``.  Region
+    statistics of a non-simple polygon count each pixel with its winding
+    number, so where it crosses itself they can differ from ``final_mask``.
+    """
+
     final_polygon: Polygon
     final_mask: np.ndarray
     trace: list[TraceRow]
@@ -182,7 +198,10 @@ def run(img: Image, p0: Polygon, cfg: EvolveConfig, callback=None) -> Segmentati
     self-intersection safeguard that halves dt up to 4 times, then accepts
     flagged) -> periodic resampling -> convergence check.
     ``callback(k, polygon)``, when given, is invoked with each pre-step
-    polygon.
+    polygon.  A flagged step (or, rarely, a resample) can leave the polygon
+    self-intersecting; its region statistics then count each pixel with
+    its winding number, while the final mask is even-odd (see
+    :class:`SegmentationResult`).
 
     Raises
     ------

@@ -1,16 +1,18 @@
 """Region statistics of polygons, and rasterization into pixel masks.
 
-Pixel (row r, col c) is centered at (x=c, y=r).  A pixel is inside iff its
-center is inside the closed polyline under the even-odd rule; centers
-exactly on an edge follow the half-open top-left convention (see
-``polyseg.backend``).
+Pixel (row r, col c) is centered at (x=c, y=r).  Region statistics count
+each pixel with the winding number of its center about the closed
+polyline, taken with the polygon's orientation; :func:`rasterize_mask`
+keeps a pixel iff that number is odd (even-odd rule).  The two agree on
+every simple polygon.  Centers exactly on an edge follow the half-open
+top-left convention (see ``polyseg.backend``).
 
 :class:`SupersampledEvaluator` is the one path from a polygon to its
 :class:`RegionStats`: at factor 1 it gives the exact pixel statistics the
 energy, the shape gradient and the evolution loop use, at higher factors
 the fractional ones of the gradient check.  Its set-up is
-O(factor * H * W) and builds no subsample field; each run of inside
-subsamples costs a blend of two pixel rows.  A :class:`RegionStats`
+O(factor * H * W) and builds no subsample field; each scanline crossing
+costs a blend of two pixel rows.  A :class:`RegionStats`
 derives the region means and variances itself and is the one place that
 rejects an empty side.  :func:`rasterize_mask` selects the same pixels as
 an explicit mask; it serves the final mask of a run.
@@ -92,20 +94,21 @@ class SupersampledEvaluator:
 
     Each pixel is split into factor^2 subsamples carrying the bilinearly
     interpolated intensity.  At factor 1 the samples are the pixels
-    themselves and :meth:`stats` sums the moments over exactly the pixels
-    ``rasterize_mask`` sets.  At higher factors region sums respond
-    fractionally (and hence near-smoothly) as the polygon moves, which
-    makes the evaluator the smooth-energy oracle of finite-difference
-    gradient checks.
+    themselves and, for a simple polygon, :meth:`stats` sums the moments
+    over exactly the pixels ``rasterize_mask`` sets.  At higher factors
+    region sums respond fractionally (and hence near-smoothly) as the
+    polygon moves, which makes the evaluator the smooth-energy oracle of
+    finite-difference gradient checks.
 
     At factor 1, row prefix sums of the pixels and of their squares are
     built once per image.  Above it no subsample field is built: every
     subsample row is a blend of two pixel rows interpolated onto the
     subsample columns, so prefix sums of those rows, of their squares and
     of each row times the next one serve every subsample row.  Set-up is
-    O(factor * H * W).  :meth:`stats` then sums prefix differences at the
-    polygon's scanline crossings only, each run above factor 1 as a blend
-    of two pixel rows (``backend.ss_stats``), without touching the frame.
+    O(factor * H * W).  :meth:`stats` then adds the prefix sums at the
+    polygon's scanline crossings only, each signed by its edge's direction
+    and read above factor 1 as a blend of two pixel rows
+    (``backend.ss_stats``), without touching the frame.
     """
 
     FACTORS = (1, 2, 4, 8, 16)

@@ -68,24 +68,30 @@ def hausdorff_to_circle(p: ps.Polygon, center, radius, samples_per_edge=8) -> fl
     return float(max(d_poly, d_circ.max()))
 
 
-def brute_force_mask(pts: np.ndarray, width: int, height: int) -> np.ndarray:
-    """Even-odd inside test per pixel center by explicit ray casting."""
-    out = np.zeros((height, width), dtype=bool)
-    n = len(pts)
-    for r in range(height):
-        for c in range(width):
-            cnt = 0
-            for i in range(n):
-                x1, y1 = pts[i]
-                x2, y2 = pts[(i + 1) % n]
-                if y1 == y2:
-                    continue
-                if min(y1, y2) <= r < max(y1, y2):
-                    xc = x1 + (r - y1) * (x2 - x1) / (y2 - y1)
-                    if xc <= c:
-                        cnt += 1
-            out[r, c] = cnt % 2 == 1
+def winding_numbers(pts: np.ndarray, width: int, height: int) -> np.ndarray:
+    """Winding number of every pixel center by explicit ray casting.
+
+    The ray from center (c, r) runs toward smaller x.  An edge meets it iff
+    min(y1, y2) <= r < max(y1, y2) and the edge crosses row r at or left of
+    c (the half-open, top-left rule of ``polyseg.backend``); it counts +1
+    where the edge runs toward larger y and -1 otherwise.  Returns a
+    (height, width) int64 array, built one edge at a time over all pixels.
+    """
+    r = np.arange(height, dtype=np.float64)[:, None]
+    c = np.arange(width, dtype=np.float64)[None, :]
+    out = np.zeros((height, width), dtype=np.int64)
+    for (x1, y1), (x2, y2) in zip(pts, np.roll(pts, -1, axis=0)):
+        if y1 == y2:
+            continue
+        xc = x1 + (r - y1) * (x2 - x1) / (y2 - y1)
+        meets = (min(y1, y2) <= r) & (r < max(y1, y2)) & (xc <= c)
+        out += np.where(meets, 1 if y2 > y1 else -1, 0)
     return out
+
+
+def brute_force_mask(pts: np.ndarray, width: int, height: int) -> np.ndarray:
+    """Even-odd inside test per pixel center: the parity of its winding number."""
+    return winding_numbers(pts, width, height) % 2 == 1
 
 
 def is_simple_table(p: ps.Polygon) -> bool:
@@ -240,6 +246,9 @@ def full_field_stats(img: ps.Image, factor: int, p: ps.Polygon) -> ps.RegionStat
     differential-test oracle of the blended pixel-row tables: the field is
     upsampled in full, and two (H*factor, W*factor+1, C) row-wise prefix
     tables of it and of its square are differenced at the polygon's runs.
+    The runs come from sorting the crossings and pairing them on each row
+    (even-odd), not from the signed per-crossing sums of
+    ``backend.ss_stats``, so the two agree only on simple polygons.
 
     Raises
     ------
@@ -254,7 +263,7 @@ def full_field_stats(img: ps.Image, factor: int, p: ps.Polygon) -> ps.RegionStat
     np.multiply(s1, s1, out=s2)
     np.cumsum(s1, axis=1, out=s1)
     np.cumsum(s2, axis=1, out=s2)
-    rows, cols = backend._crossings(p.points[:, 0], p.points[:, 1], factor, hs, ws)
+    rows, cols, _ = backend._crossings(p.points[:, 0], p.points[:, 1], factor, hs, ws)
     order = np.lexsort((cols, rows))
     ra, ca, cb = rows[order][0::2], cols[order][0::2], cols[order][1::2]
     nsub = float(np.sum(cb - ca))

@@ -13,6 +13,7 @@ from helpers import (
     naive_region_sums,
     region_stats,
     star_polygon,
+    winding_numbers,
 )
 
 FRAME = 64
@@ -235,7 +236,11 @@ class TestSupersampled:
 
 
 class TestEvaluatorMatchesMask:
-    """Factor-1 crossing stats against the mask fill plus moments sum."""
+    """Factor-1 crossing stats against the mask fill plus moments sum.
+
+    Self-intersecting polylines are checked against winding-number-weighted
+    sums instead, the rule the crossing stats follow.
+    """
 
     @staticmethod
     def check(points, channels):
@@ -259,19 +264,44 @@ class TestEvaluatorMatchesMask:
                 b = getattr(ref, f"{name}_{side}")
                 assert np.all(np.abs(a - b) <= 1e-12 * total), (name, side)
 
-    @given(star_polygons(), st.sampled_from([1, 3]))
+    @given(star_polygons(), st.sampled_from([1, 3]), st.booleans())
     @settings(max_examples=80, deadline=None)
     # a triangle between two rows of pixel centres crosses no scanline
-    @example(points=[(10.2, 5.1), (20.7, 5.4), (14.0, 5.9)], channels=1)
+    @example(points=[(10.2, 5.1), (20.7, 5.4), (14.0, 5.9)], channels=1, reverse=False)
     # a polygon wholly above and left of the frame
-    @example(points=[(-9.0, -9.0), (-3.0, -8.0), (-5.0, -2.0)], channels=3)
-    def test_star_polygons(self, points, channels):
-        self.check(points, channels)
+    @example(points=[(-9.0, -9.0), (-3.0, -8.0), (-5.0, -2.0)], channels=3, reverse=False)
+    def test_star_polygons(self, points, channels, reverse):
+        self.check(points[::-1] if reverse else points, channels)
 
     @given(lattice_polygons(), st.sampled_from([1, 3]))
     @settings(max_examples=80, deadline=None)
+    # a bow-tie with lobes of 45 and 225 pixels: area 180, where even-odd
+    # counting would give 270
+    @example(points=[(10.5, 10.0), (40.5, 41.0), (40.5, 20.0), (10.5, 20.0)], channels=1)
+    # a bow-tie mirrored about x = 20.5, no pixel centre on an edge: its
+    # lobes cancel, so the inside is empty
+    @example(points=[(10.5, 10.0), (30.5, 31.0), (30.5, 10.0), (10.5, 31.0)], channels=3)
     def test_lattice_polygons(self, points, channels):
-        self.check(points, channels)
+        """Self-intersecting polylines: each pixel counts with its winding number."""
+        img = FIELDS[channels]
+        p = ps.Polygon(points)
+        wn = winding_numbers(p.points, FRAME, FRAME)
+        area = int(wn.sum())
+        if area < 0:  # the overall sign is the orientation's
+            wn, area = -wn, -area
+        if not 0 < area < FRAME * FRAME:
+            with pytest.raises(ps.EmptyRegion):
+                ps.SupersampledEvaluator(img, 1).stats(p)
+            return
+        got = ps.SupersampledEvaluator(img, 1).stats(p)
+        assert got.area_in == area
+        assert got.area_out == FRAME * FRAME - area
+        for name, values in (("s1", img.data), ("s2", img.data**2)):
+            total = values.sum(axis=(0, 1))
+            inside = (wn[:, :, None] * values).sum(axis=(0, 1))
+            for side, ref in (("in", inside), ("out", total - inside)):
+                a = getattr(got, f"{name}_{side}")
+                assert np.all(np.abs(a - ref) <= 1e-12 * total), (name, side)
 
 
 # (height, width): a frame, one pixel row, one pixel column
@@ -302,15 +332,16 @@ def frame_stars(draw):
 class TestBlendedRowsMatchFullField:
     """Factor > 1 stats from blended pixel rows against the upsampled field."""
 
-    @given(frame_stars(), st.sampled_from([1, 3]), st.sampled_from([2, 4, 8, 16]))
+    @given(frame_stars(), st.sampled_from([1, 3]), st.sampled_from([2, 4, 8, 16]),
+           st.booleans())
     @settings(max_examples=150, deadline=None, derandomize=True)
     # the sliver between two factor-16 sample rows: both sides find it empty
     @example(star=((20, 24), [(5.0, 10.04), (20.0, 10.05), (12.0, 10.08)]),
-             channels=1, factor=16)
-    def test_star_polygons(self, star, channels, factor):
+             channels=1, factor=16, reverse=False)
+    def test_star_polygons(self, star, channels, factor, reverse):
         shape, points = star
         img = SHAPED[shape, channels]
-        p = ps.Polygon(points)
+        p = ps.Polygon(points[::-1] if reverse else points)
         try:
             ref = full_field_stats(img, factor, p)
         except ps.EmptyRegion:
