@@ -84,12 +84,14 @@ def fill_mask(xs, ys, width: int, height: int) -> np.ndarray:
     Returns a (height, width) uint8 mask with 1 for inside pixels.
     """
     rows, cols, _ = _crossings(xs, ys, 1, height, width)
-    flips = np.zeros((height, width + 1), dtype=np.int64)
-    np.add.at(flips, (rows, cols), 1)
-    # parity in place: one frame-sized int64 buffer for the whole fill
-    np.cumsum(flips, axis=1, out=flips)
+    keep = cols < width  # a crossing right of the last center flips none
+    # counts wrap modulo 256 in uint8, which keeps their parity: one
+    # frame-sized byte buffer for the whole fill
+    flips = np.zeros((height, width), dtype=np.uint8)
+    np.add.at(flips, (rows[keep], cols[keep]), 1)
+    np.cumsum(flips, axis=1, dtype=np.uint8, out=flips)
     flips &= 1
-    return flips[:, :width].astype(np.uint8)
+    return flips
 
 
 def mask_stats(data: np.ndarray, mask: np.ndarray):

@@ -12,11 +12,19 @@ convergence test.  One rule sets the step size:
 
     dt = min(dt_cap, 0.5 px / max_i |speed_i|)   (dt_cap if all speeds are 0)
 
-The pixel cap alone is not enough.  Under pure curve shortening of a
-100-gon of radius 50 at eta 1e-4 (acceptance test 06), a half-pixel step
-is dt = 2.5e5, about 20 times the explicit stability limit of the
-curvature term, and the circle ends 100 iterations at a radius spread of
-1.18e-2 r; with dt_cap 1e4 it stays within 1e-6 r.
+Region speeds scale like 1/area, so on large frames the half-pixel step
+needs a large dt: up to 1.4e6 on a 1024^2 frame and 1.2e7 on a 2048^2
+frame with 100 vertices.  The default dt_cap (1e8) lies above those steps
+and only guards against a runaway step.
+
+The pixel cap does not keep the explicit curvature term stable.  Under
+pure curve shortening of a 100-gon of radius 50 at eta 1e-4 (acceptance
+test 06), edge length h = 3.14, the explicit limit is about
+h^2 / (2 eta) = 4.9e4 (Kass, Witkin & Terzopoulos, "Snakes", IJCV 1988),
+and a half-pixel step is dt = 2.5e5, about 5 times that limit.  The
+radius spread after 100 iterations is 8.9e-16 r at dt_cap 1e4, 4.0e-13 r
+at 4e4, 1.07e-2 r at 5e4, 1.12e-2 r at 1e5 and 1.18e-2 r with no cap.  A
+curvature-dominated run should pass a dt_cap below h^2 / (2 eta).
 """
 
 import math
@@ -51,9 +59,11 @@ class EvolveConfig:
     """Evolution parameters.
 
     The step size is min(dt_cap, 0.5 px / max_i |speed_i|), or dt_cap when
-    every speed is 0.  dt_cap keeps the step below the explicit stability
-    limit of the curvature term where the pixel cap alone would exceed it
-    (see the module docstring); a small dt_cap gives a fixed small step.
+    every speed is 0.  The default dt_cap only guards against a runaway
+    step; it does not keep the curvature term stable.  A
+    curvature-dominated run needs a dt_cap below h^2 / (2 eta), h the edge
+    length (see the module docstring); a small dt_cap gives a fixed small
+    step.
     dt_cap, eta and e_thr must be finite, and eta must not be negative: a
     negative length weight rewards longer polygons, so the energy would
     have no lower bound.  n_vertices, max_iters, resample_every and window
@@ -61,7 +71,7 @@ class EvolveConfig:
     """
 
     n_vertices: int = 100
-    dt_cap: float = 1e5
+    dt_cap: float = 1e8
     eta: float = 0.1
     max_iters: int = 500
     e_thr: float = 1e-4

@@ -88,6 +88,45 @@ class _Tokens:
         return _int(self.next(), "in PNM header")
 
 
+# Bytes of ASCII payload split and converted at a time: bounds the token
+# list and its Python ints (about 80 bytes per sample) to a few MB.
+_ASCII_CHUNK = 1 << 16
+_SPACE = re.compile(rb"\s")
+
+
+def _ascii_samples(payload: bytes, count: int, maxval: int) -> np.ndarray:
+    """The first count integer tokens of a P2/P3 payload as an int64 array.
+
+    Comments are dropped first.  The payload is split in slices of about
+    ``_ASCII_CHUNK`` bytes, each cut at whitespace so that no token spans
+    two slices, and each slice is converted into a preallocated array.
+    """
+    text = re.sub(rb"#[^\r\n]*", b"", payload)
+    # every token takes at least two bytes but the last: a count the file
+    # cannot hold is refused before the array is allocated
+    if count > (len(text) + 1) // 2:
+        raise ParseError("truncated PNM payload")
+    vals = np.empty(count, dtype=np.int64)
+    n = pos = 0
+    while n < count:
+        if pos >= len(text):
+            raise ParseError("truncated PNM payload")
+        cut = _SPACE.search(text, pos + _ASCII_CHUNK)
+        end = cut.start() if cut else len(text)
+        tokens = text[pos:end].split()[: count - n]
+        pos = end
+        try:
+            vals[n : n + len(tokens)] = list(map(int, tokens))
+        except ValueError:
+            for t in tokens:  # raises on the first token that is no integer
+                _int(t, "PNM sample")
+            raise
+        except OverflowError as exc:  # beyond int64, so beyond any maxval
+            raise ParseError(f"PNM sample outside [0, {maxval}]") from exc
+        n += len(tokens)
+    return vals
+
+
 def read_pnm(path) -> Image:
     """Read a PGM/PPM file into a GRAY or RGB image.
 
@@ -118,22 +157,7 @@ def read_pnm(path) -> Image:
     count = width * height * channels
 
     if magic in (b"P2", b"P3"):
-        # one pass: drop comments, split once, then convert the first count
-        # tokens; the token list is bounded by the file, whatever count says
-        tokens = re.sub(rb"#[^\r\n]*", b"", raw[tok.pos :]).split()
-        if len(tokens) < count:
-            raise ParseError("truncated PNM payload")
-        del tokens[count:]
-        try:
-            ints = list(map(int, tokens))
-        except ValueError:
-            for t in tokens:  # raises on the first token that is no integer
-                _int(t, "PNM sample")
-            raise
-        try:
-            vals = np.array(ints, dtype=np.int64)
-        except OverflowError as exc:  # beyond int64, so beyond any maxval
-            raise ParseError(f"PNM sample outside [0, {maxval}]") from exc
+        vals = _ascii_samples(raw[tok.pos :], count, maxval)
     else:
         # exactly one whitespace byte separates maxval from the payload
         if tok.pos >= len(raw) or not raw[tok.pos : tok.pos + 1].isspace():

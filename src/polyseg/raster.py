@@ -82,8 +82,8 @@ def rasterize_mask(p: Polygon, width: int, height: int) -> np.ndarray:
     """
     if width < 1 or height < 1:
         raise ValueError("mask dimensions must be positive")
-    mask = backend.fill_mask(p.points[:, 0], p.points[:, 1], width, height)
-    mask = mask.astype(bool)
+    # the fill holds only 0 and 1, valid bytes of a bool array: no copy
+    mask = backend.fill_mask(p.points[:, 0], p.points[:, 1], width, height).view(bool)
     if not mask.any():
         raise EmptyRegion("polygon encloses no pixel centers")
     return mask

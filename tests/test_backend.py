@@ -7,7 +7,7 @@ import numpy as np
 import polyseg as ps
 from polyseg import backend
 
-from helpers import blob_image, upsample_bilinear
+from helpers import blob_image, brute_force_mask, upsample_bilinear
 
 
 def test_backend_name_valid():
@@ -22,6 +22,33 @@ def test_fill_mask_half_open_box():
     mask = backend.fill_mask(xs, ys, 16, 16)
     assert mask.sum() == (10 - 2) * (9 - 3)
     assert mask[3:9, 2:10].all()
+
+
+def _comb(teeth):
+    # a base bar with `teeth` spikes: 2 * teeth crossings on each spike row
+    top = []
+    for k in range(teeth - 1, -1, -1):
+        x0, x1 = 4 * k + 1.5, 4 * k + 3.5
+        top += [(x1, 30.5), (x1, 2.5), (x0, 2.5), (x0, 30.5)]
+    return np.array([(1.5, 35.5), (4 * teeth - 0.5, 35.5)] + top)
+
+
+def _zigzag(edges):
+    # `edges` (odd) edges through one pixel cell on every row they span,
+    # closed by a vertical edge at x = 15.5
+    zig = [(10.3, 0.0) if i % 2 == 0 else (10.4, 20.0) for i in range(edges + 1)]
+    return np.array(zig + [(15.5, 20.0), (15.5, 0.0)])
+
+
+def test_fill_mask_keeps_parity_past_256_crossings():
+    # the fill counts in uint8: 300 crossings along one row and 301 edges
+    # in one cell wrap the count, which must keep its parity
+    for pts, width, inside in ((_comb(150), 604, 150 * 2 * 28 + 598 * 5),
+                               (_zigzag(301), 24, 5 * 20)):
+        mask = backend.fill_mask(pts[:, 0], pts[:, 1], width, 40)
+        assert mask.dtype == np.uint8
+        assert mask.sum() == inside
+        assert np.array_equal(mask, brute_force_mask(pts, width, 40))
 
 
 def test_upsample_matches_bilinear_sample():

@@ -309,6 +309,36 @@ class TestRun:
         expected = cfg.dt_cap * cfg.eta / 50.0
         assert res.trace[0].max_disp == pytest.approx(expected, rel=1e-9)
 
+    @staticmethod
+    def _noisy_frame_disk(n, vertices):
+        # the perfbench frame_gray input at side n: disk r = 0.30 n, values
+        # 0.9 on 0.1, noise sd 25; start circle 0.34 n
+        c = (n - 1) / 2.0
+        img = ps.synth_shape("disk", n, n, 0.9, 0.1, {"cx": c, "cy": c, "r": 0.30 * n})
+        p0 = ps.init_circle((c, c), 0.34 * n, vertices)
+        return ps.add_gaussian_noise(img, 25.0, ps.Rng(1)), p0
+
+    def test_default_dt_cap_does_not_bind_on_a_large_frame(self):
+        # region speeds scale like 1/area: on a 1024^2 frame the pixel cap,
+        # not dt_cap, must set every step of the approach
+        img, p0 = self._noisy_frame_disk(1024, 100)
+        res = ps.run(img, p0, ps.EvolveConfig(eta=1e-4, max_iters=50))
+        assert len(res.trace) == 50
+        assert all(abs(r.max_disp - 0.5) < 1e-12 for r in res.trace)
+
+    def test_large_frame_converges_within_default_max_iters(self):
+        n = 2048
+        img, p0 = self._noisy_frame_disk(n, 400)
+        res = ps.run(img, p0, ps.EvolveConfig(n_vertices=400, eta=5e-5))
+        assert res.converged
+        assert res.iterations_run < ps.EvolveConfig().max_iters
+        assert res.flagged_steps == 0
+        c = (n - 1) / 2.0
+        ys, xs = np.ogrid[0:n, 0:n]
+        truth = (xs - c) ** 2 + (ys - c) ** 2 < (0.30 * n) ** 2
+        iou = (truth & res.final_mask).sum() / (truth | res.final_mask).sum()
+        assert iou >= 0.998
+
     def test_pure_curvature_flow_circle_stays_circular(self):
         img = ps.Image(np.full((128, 128), 0.5), ps.GRAY)
         p0 = ps.init_circle((64, 64), 50, 100)
@@ -419,7 +449,7 @@ class TestEvolveConfig:
     def test_defaults(self):
         cfg = ps.EvolveConfig()
         assert cfg.n_vertices == 100
-        assert cfg.dt_cap == 1e5
+        assert cfg.dt_cap == 1e8
         assert cfg.eta == 0.1
         assert cfg.max_iters == 500
         assert cfg.e_thr == 1e-4

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -92,6 +94,22 @@ class TestReadPnm:
         ascii_img, binary_img = ps.read_pnm(tmp_path / "a.pgm"), ps.read_pnm(tmp_path / "b.pgm")
         assert ascii_img.colorspace == binary_img.colorspace == ps.GRAY
         assert np.array_equal(ascii_img.data, binary_img.data)
+
+    def test_ascii_read_peak_memory(self, tmp_path):
+        # the file, the int64 samples and the float image, plus a few MB
+        # for one slice of tokens; a token list of the whole payload with
+        # its Python ints takes about 70 bytes per sample
+        q = np.random.default_rng(5).integers(0, 256, (512, 512), dtype=np.uint8)
+        content = b"P2\n512 512\n255\n" + " ".join(map(str, q.ravel())).encode() + b"\n"
+        (tmp_path / "a.pgm").write_bytes(content)
+        tracemalloc.start()
+        try:
+            img = ps.read_pnm(tmp_path / "a.pgm")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(img.data[:, :, 0], q / 255.0)
+        assert peak < len(content) + 16 * q.size + 4e6  # 9.1 MB
 
     def test_samples_at_zero_and_maxval(self, tmp_path):
         path = tmp_path / "a.pgm"
