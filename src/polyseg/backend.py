@@ -22,13 +22,16 @@ grid and coordinates are used as given, so for a simple polygon
 :func:`ss_stats` selects exactly the pixels :func:`fill_mask` sets.  On a
 self-intersecting polygon a sample of winding number 2 counts twice and
 one of opposite winding counts negatively, where the mask holds its
-parity.  Every region
-statistic of the package comes from :func:`ss_stats`; nothing in the
-package calls :func:`mask_stats`, which serves the tests' mask-based
-oracle and a perfbench probe.
+parity.  Every region statistic of the package comes from
+:func:`ss_stats`, or from :func:`edge_sums`, its per-edge share, where
+polygons differ in a few edges; nothing in the package calls
+:func:`mask_stats`, which serves the tests' mask-based oracle and a
+perfbench probe.
 
-Above factor 1 no subsample field exists: each crossing costs a blend of
-two pixel rows' prefix sums (see :func:`ss_stats`).
+The crossing kernel works on edges, not rings: :func:`fill_mask` and
+:func:`ss_stats` close their ring themselves.  Above factor 1 no subsample
+field exists: each crossing costs a blend of two pixel rows' prefix sums
+(see :func:`ss_stats`).
 """
 
 import numpy as np
@@ -38,16 +41,25 @@ from .image import _cell
 BACKEND = "numpy"
 
 
-def _crossings(xs, ys, factor: int, hs: int, ws: int):
-    """Row indices, flip columns and signs of all scanline crossings.
+def _ring(xs, ys):
+    """Edge endpoints (x1, y1, x2, y2) of the closed polygon with these vertices."""
+    x1 = np.asarray(xs, dtype=np.float64)
+    y1 = np.asarray(ys, dtype=np.float64)
+    return x1, y1, np.concatenate((x1[1:], x1[:1])), np.concatenate((y1[1:], y1[:1]))
 
-    The sample grid has hs x ws centers; sample (sr, sc) sits at
-    ((sc+0.5)/factor - 0.5, (sr+0.5)/factor - 0.5) in pixel coordinates,
-    which is (sc, sr) itself at factor 1.  Returns (rows, cols, signs) as
-    int64 arrays, one entry per (edge, scanline) crossing; a sign is +1
-    where the edge runs toward larger y and -1 otherwise.  Under the
-    half-open rule a horizontal edge spans zero rows, so it is never
-    expanded and its zero height is never a divisor.
+
+def _crossings(x1, y1, x2, y2, factor: int, hs: int, ws: int):
+    """Row indices, flip columns, signs and edges of all scanline crossings.
+
+    Edge k runs from (x1[k], y1[k]) to (x2[k], y2[k]); the arrays are
+    float64 and need not form a ring.  The sample grid has hs x ws centers;
+    sample (sr, sc) sits at ((sc+0.5)/factor - 0.5, (sr+0.5)/factor - 0.5)
+    in pixel coordinates, which is (sc, sr) itself at factor 1.  Returns
+    (rows, cols, signs, edge) as int64 arrays, one entry per (edge,
+    scanline) crossing, grouped by edge in edge order; a sign is +1 where
+    the edge runs toward larger y and -1 otherwise.  Under the half-open
+    rule a horizontal edge spans zero rows, so it is never expanded and its
+    zero height is never a divisor.
     """
     f = float(factor)
 
@@ -59,10 +71,6 @@ def _crossings(xs, ys, factor: int, hs: int, ws: int):
     def from_sub(r):
         return r if factor == 1 else (r + 0.5) / f - 0.5
 
-    x1 = np.asarray(xs, dtype=np.float64)
-    y1 = np.asarray(ys, dtype=np.float64)
-    x2 = np.roll(x1, -1)
-    y2 = np.roll(y1, -1)
     r0 = np.maximum(np.ceil(to_sub(np.minimum(y1, y2))), 0.0).astype(np.int64)
     r1 = np.minimum(np.ceil(to_sub(np.maximum(y1, y2))) - 1.0, float(hs - 1)).astype(
         np.int64
@@ -75,7 +83,7 @@ def _crossings(xs, ys, factor: int, hs: int, ws: int):
     x1, y1, x2, y2 = x1[eidx], y1[eidx], x2[eidx], y2[eidx]
     xc = x1 + (from_sub(rows) - y1) * (x2 - x1) / (y2 - y1)
     cols = np.clip(np.ceil(to_sub(xc)), 0, ws).astype(np.int64)
-    return rows, cols, np.where(y2 > y1, 1, -1)
+    return rows, cols, np.where(y2 > y1, 1, -1), eidx
 
 
 def fill_mask(xs, ys, width: int, height: int) -> np.ndarray:
@@ -83,7 +91,7 @@ def fill_mask(xs, ys, width: int, height: int) -> np.ndarray:
 
     Returns a (height, width) uint8 mask with 1 for inside pixels.
     """
-    rows, cols, _ = _crossings(xs, ys, 1, height, width)
+    rows, cols, _, _ = _crossings(*_ring(xs, ys), 1, height, width)
     keep = cols < width  # a crossing right of the last center flips none
     # counts wrap modulo 256 in uint8, which keeps their parity: one
     # frame-sized byte buffer for the whole fill
@@ -113,6 +121,23 @@ def mask_stats(data: np.ndarray, mask: np.ndarray):
     return float(m.sum()), s1_in, s2_in, s1_all, s2_all
 
 
+def _crossing_values(prefix1, prefix2, rows, cols, factor: int):
+    """Unsigned (k, C) sums of f and f^2 left of k crossings.
+
+    They are read from the tables of :func:`ss_stats`: a gather at factor 1,
+    a blend of two pixel rows above it.
+    """
+    if factor == 1:
+        return prefix1[rows, cols], prefix2[rows, cols]
+    i0, i1, t = _cell((rows + 0.5) / factor - 0.5, prefix1.shape[0])
+    t = t[:, None]
+    u = 1.0 - t
+    q, x = prefix2
+    v1 = u * prefix1[i0, cols] + t * prefix1[i1, cols]
+    v2 = u * u * q[i0, cols] + 2.0 * t * u * x[i0, cols] + t * t * q[i1, cols]
+    return v1, v2
+
+
 def ss_stats(prefix1: np.ndarray, prefix2: np.ndarray, xs, ys, factor: int):
     """Region sums of a polygon over the sample grid, from its crossings only.
 
@@ -134,19 +159,33 @@ def ss_stats(prefix1: np.ndarray, prefix2: np.ndarray, xs, ys, factor: int):
     s2_in) in sample units, on the grid described in :func:`_crossings`.
     """
     h, wcols, _ = prefix1.shape
-    rows, cols, sign = _crossings(xs, ys, factor, h * factor, wcols - 1)
+    rows, cols, sign, _ = _crossings(*_ring(xs, ys), factor, h * factor, wcols - 1)
     nsub = int(sign @ cols)
     if nsub < 0:
         sign, nsub = -sign, -nsub
     sign = sign[:, None]
-    if factor == 1:
-        s1 = (sign * prefix1[rows, cols]).sum(axis=0)
-        s2 = (sign * prefix2[rows, cols]).sum(axis=0)
-        return float(nsub), s1, s2
-    i0, i1, t = _cell((rows + 0.5) / factor - 0.5, h)
-    t = t[:, None]
-    u = 1.0 - t
-    q, x = prefix2
-    s1 = (sign * (u * prefix1[i0, cols] + t * prefix1[i1, cols])).sum(axis=0)
-    s2 = sign * (u * u * q[i0, cols] + 2.0 * t * u * x[i0, cols] + t * t * q[i1, cols])
-    return float(nsub), s1, s2.sum(axis=0)
+    v1, v2 = _crossing_values(prefix1, prefix2, rows, cols, factor)
+    return float(nsub), (sign * v1).sum(axis=0), (sign * v2).sum(axis=0)
+
+
+def edge_sums(prefix1: np.ndarray, prefix2: np.ndarray, x1, y1, x2, y2, factor: int):
+    """Signed sums of each edge's crossings, on the tables of :func:`ss_stats`.
+
+    Edge k runs from (x1[k], y1[k]) to (x2[k], y2[k]).  Returns (count,
+    s1, s2) of shapes (m,), (m, C) and (m, C): edge k's share of
+    :func:`ss_stats`'s sums before its orientation flip.  Summed over the
+    edges of a ring they give that ring's signed sums, so two rings that
+    share all but a few edges differ by those edges' sums alone.
+    """
+    h, wcols, c = prefix1.shape
+    m = len(x1)
+    rows, cols, sign, edge = _crossings(x1, y1, x2, y2, factor, h * factor, wcols - 1)
+    count = np.bincount(edge, weights=sign * cols, minlength=m)
+    slot = (edge[:, None] * c + np.arange(c)).ravel()
+    sign = sign[:, None]
+
+    def per_edge(values):
+        return np.bincount(slot, weights=(sign * values).ravel(), minlength=m * c).reshape(m, c)
+
+    v1, v2 = _crossing_values(prefix1, prefix2, rows, cols, factor)
+    return count, per_edge(v1), per_edge(v2)

@@ -17,9 +17,12 @@ and the length term contributes eta * curvature.  Region means, variances
 and areas are fields of the :class:`~polyseg.raster.RegionStats` that
 ``SupersampledEvaluator(img, 1)`` returns, the same exact pixel statistics
 the evolution loop uses, so the gradient matches the energy actually
-reported and descended.  Outside the evolution loop, which reuses one
-``RegionStats`` for the energy and the gradient, only
-:func:`supersampled_energy` builds an :class:`EnergyBreakdown`.
+reported and descended.  The evolution loop, which reuses one
+``RegionStats`` for the energy and the gradient, and the gradient check,
+which gets the stats of its moved polygons from
+``SupersampledEvaluator.moved_stats``, call :func:`breakdown_from_stats`
+themselves; elsewhere :func:`supersampled_energy` builds every
+:class:`EnergyBreakdown`.
 """
 
 from dataclasses import dataclass

@@ -68,7 +68,7 @@ class Polygon:
 def polygon_area(p: Polygon) -> float:
     """Signed shoelace area of the polygon, positive for CCW orientation."""
     x, y = p.points[:, 0], p.points[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    xn, yn = np.concatenate((x[1:], x[:1])), np.concatenate((y[1:], y[:1]))
     return 0.5 * float(np.sum(x * yn - xn * y))
 
 
@@ -112,7 +112,7 @@ def outward_normals(p: Polygon) -> np.ndarray:
         If v_{i+1} == v_{i-1} for some vertex (undefined tangent).
     """
     pts = p.points
-    t = np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)
+    t = np.concatenate((pts[1:], pts[:1])) - np.concatenate((pts[-1:], pts[:-1]))
     norm = np.hypot(t[:, 0], t[:, 1])
     if np.min(norm) < 1e-12:
         raise DegeneratePolygon("neighbors of a vertex coincide")
@@ -128,7 +128,8 @@ def vertex_weights(p: Polygon) -> np.ndarray:
     These weights turn per-vertex normal speeds into a midpoint-rule
     quadrature of a boundary integral.
     """
-    return 0.5 * (p.lengths + np.roll(p.lengths, 1))
+    lengths = p.lengths
+    return 0.5 * (lengths + np.concatenate((lengths[-1:], lengths[:-1])))
 
 
 def discrete_curvature(p: Polygon) -> np.ndarray:
@@ -139,11 +140,11 @@ def discrete_curvature(p: Polygon) -> np.ndarray:
     left (locally convex).  Collinear triples give exactly 0.  The estimate
     is exact on circles: any three cocircular points reproduce 1/r.
     """
-    e1 = np.roll(p.edges, 1, axis=0)
-    e2 = p.edges
+    e2, l2 = p.edges, p.lengths
+    e1 = np.concatenate((e2[-1:], e2[:-1]))
     chord = e1 + e2
     cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    denom = np.roll(p.lengths, 1) * p.lengths * np.hypot(chord[:, 0], chord[:, 1])
+    denom = np.concatenate((l2[-1:], l2[:-1])) * l2 * np.hypot(chord[:, 0], chord[:, 1])
     with np.errstate(divide="ignore", invalid="ignore"):
         kappa = np.where(denom > 0.0, 2.0 * cross / denom, 0.0)
     return kappa

@@ -202,6 +202,17 @@ def write_pnm(img: Image, path) -> None:
         fh.write(data)
 
 
+def write_mask(mask: np.ndarray, path) -> None:
+    """Write an (H, W) boolean mask as a binary PGM: 255 inside, 0 outside.
+
+    The bytes are those of ``write_pnm(Image(mask, GRAY), path)``, built
+    from the mask's bytes without a float copy.
+    """
+    quant = mask.view(np.uint8)[:, :, None] * np.uint8(255)
+    with open(path, "wb") as fh:
+        fh.write(_pnm_bytes(quant))
+
+
 def to_gray(img: Image) -> Image:
     """Rec. 709 luma of the stored (gamma-encoded) RGB values."""
     if img.colorspace != RGB:

@@ -12,10 +12,11 @@ top-left convention (see ``polyseg.backend``).
 energy, the shape gradient and the evolution loop use, at higher factors
 the fractional ones of the gradient check.  Its set-up is
 O(factor * H * W) and builds no subsample field; each scanline crossing
-costs a blend of two pixel rows.  A :class:`RegionStats`
-derives the region means and variances itself and is the one place that
-rejects an empty side.  :func:`rasterize_mask` selects the same pixels as
-an explicit mask; it serves the final mask of a run.
+costs a blend of two pixel rows, and each copy of a polygon with one
+vertex moved costs only the crossings of its two new edges.  A
+:class:`RegionStats` derives the region means and variances itself and is
+the one place that rejects an empty side.  :func:`rasterize_mask` selects
+the same pixels as an explicit mask; it serves the final mask of a run.
 """
 
 from dataclasses import dataclass, field
@@ -148,9 +149,51 @@ class SupersampledEvaluator:
         EmptyRegion
             If either side of the polygon holds no sample.
         """
-        nsub, s1, s2 = backend.ss_stats(
+        return self._region_stats(*backend.ss_stats(
             self._prefix1, self._prefix2, p.points[:, 0], p.points[:, 1], self.factor
+        ))
+
+    def moved_stats(self, p: Polygon, index, points):
+        """RegionStats of p with vertex index[j] moved to points[j], per move j.
+
+        A move changes only the two edges at its vertex, so each moved
+        polygon's signed sums are p's, minus those of its two old edges,
+        plus those of its two new edges, each under the overall sign of its
+        own count as in :meth:`stats`.  Two crossing passes serve every
+        move: one over p's edges and one over all new edges.  Areas equal
+        those of :meth:`stats` on the moved polygon exactly; moments agree
+        to rounding.
+
+        Yields one RegionStats per move, in move order, each built when
+        its turn comes.
+
+        Raises
+        ------
+        EmptyRegion
+            When the next move leaves either side without a sample.
+        """
+        pts = p.points
+        index = np.asarray(index, dtype=np.intp)
+        points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+        prev, nxt = pts[index - 1], pts[(index + 1) % len(pts)]
+        # new edge 2j runs into moved vertex j, edge 2j+1 out of it
+        into = np.stack((prev, points), axis=1).reshape(-1, 2)
+        out = np.stack((points, nxt), axis=1).reshape(-1, 2)
+        tables = (self._prefix1, self._prefix2)
+        ring = np.concatenate((pts[1:], pts[:1]))
+        old = backend.edge_sums(*tables, *pts.T, *ring.T, self.factor)
+        new = backend.edge_sums(*tables, *into.T, *out.T, self.factor)
+        count, s1, s2 = (
+            e.sum(axis=0) - (e[index - 1] + e[index]) + (m[0::2] + m[1::2])
+            for e, m in zip(old, new)
         )
+        sign = np.where(count < 0, -1.0, 1.0)
+        count, s1, s2 = sign * count, sign[:, None] * s1, sign[:, None] * s2
+        for j in range(len(index)):
+            yield self._region_stats(float(count[j]), s1[j], s2[j])
+
+    def _region_stats(self, nsub: float, s1: np.ndarray, s2: np.ndarray) -> RegionStats:
+        """RegionStats from inside sums in sample units."""
         inv = 1.0 / (self.factor * self.factor)
         return RegionStats(
             area_in=nsub * inv,

@@ -263,7 +263,8 @@ def full_field_stats(img: ps.Image, factor: int, p: ps.Polygon) -> ps.RegionStat
     np.multiply(s1, s1, out=s2)
     np.cumsum(s1, axis=1, out=s1)
     np.cumsum(s2, axis=1, out=s2)
-    rows, cols, _ = backend._crossings(p.points[:, 0], p.points[:, 1], factor, hs, ws)
+    x, y = p.points[:, 0], p.points[:, 1]
+    rows, cols, _, _ = backend._crossings(x, y, np.roll(x, -1), np.roll(y, -1), factor, hs, ws)
     order = np.lexsort((cols, rows))
     ra, ca, cb = rows[order][0::2], cols[order][0::2], cols[order][1::2]
     nsub = float(np.sum(cb - ca))
@@ -280,3 +281,34 @@ def full_field_stats(img: ps.Image, factor: int, p: ps.Polygon) -> ps.RegionStat
         s2_in=s2_in * inv,
         s2_out=(s2_all - s2_in) * inv,
     )
+
+
+def gradcheck_table(img: ps.Image, p: ps.Polygon, eta: float, factor: int = 16,
+                    h: float = 0.25, gate: float = 1e-4, threshold: float = 0.1) -> str:
+    """The stdout of ``polyseg gradcheck``, one whole-polygon energy per move.
+
+    The former body of ``cli._cmd_gradcheck``, kept as the oracle of its
+    moved-edge evaluation: each of the 2n central-difference energies comes
+    from ``supersampled_energy`` on the moved polygon built in full.
+    """
+    g = ps.shape_gradient(img, p, eta)
+    analytic = g.speeds * ps.vertex_weights(p)
+    ev = ps.SupersampledEvaluator(img, factor)
+    worst = 0.0
+    lines = [f"{'vertex':>6} {'analytic':>14} {'fd':>14} {'rel_err':>10}"]
+    for i in range(len(p)):
+        nrm = g.normals[i]
+        fd_vals = []
+        for sign in (+1.0, -1.0):
+            pts = p.points.copy()
+            pts[i] += sign * h * nrm
+            fd_vals.append(ps.supersampled_energy(ev, ps.Polygon(pts), eta).total)
+        fd = (fd_vals[0] - fd_vals[1]) / (2.0 * h)
+        if abs(analytic[i]) > gate:
+            rel = abs(analytic[i] - fd) / abs(analytic[i])
+            worst = max(worst, rel)
+            lines.append(f"{i:>6} {analytic[i]:>14.6e} {fd:>14.6e} {rel:>10.4f}")
+        else:
+            lines.append(f"{i:>6} {analytic[i]:>14.6e} {fd:>14.6e} {'(gated)':>10}")
+    lines.append(f"max relative error: {worst:.4f} (threshold {threshold})")
+    return "\n".join(lines) + "\n"

@@ -16,7 +16,7 @@ import polyseg.imageio
 import polyseg.svgout
 from polyseg.cli import main
 
-from helpers import blob_image, pentagram
+from helpers import blob_image, gradcheck_table, pentagram
 
 SVG_IMAGE = "{http://www.w3.org/2000/svg}image"
 XLINK_HREF = "{http://www.w3.org/1999/xlink}href"
@@ -425,6 +425,27 @@ class TestGradcheck:
             "--eta", "1e-3",
         ])
         assert rc == 0
+
+    @pytest.mark.parametrize("image", ["blob", "readme_clean"])
+    def test_table_matches_the_whole_polygon_oracle(self, blob_pgm, tmp_path, capsys, image):
+        # each move's energy from its moved edges prints what evaluating
+        # every moved polygon in full prints
+        if image == "blob":
+            path, (cx, cy, r, n) = blob_pgm, (32, 32, 15, 40)
+        else:  # the README example
+            path, (cx, cy, r, n) = tmp_path / "clean.pgm", (100, 100, 70, 48)
+            assert main([
+                "synth", "--kind", "disk", "--width", "200", "--height", "200",
+                "--fg", "0.9", "--bg", "0.1", "--cx", "100", "--cy", "100", "--r", "60",
+                "--out", str(path),
+            ]) == 0
+        rc = main([
+            "gradcheck", "--input", str(path), "--init-circle", f"{cx},{cy},{r}",
+            "--vertices", str(n), "--eta", "1e-3", "--factor", "16",
+        ])
+        assert rc == 0
+        expected = gradcheck_table(ps.read_pnm(path), ps.init_circle((cx, cy), r, n), 1e-3)
+        assert capsys.readouterr().out == expected
 
     def test_constant_image_passes(self, tmp_path):
         path = tmp_path / "const.pgm"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyseg as ps
-from polyseg.imageio import SHAPES
+from polyseg.imageio import SHAPES, write_mask
 
 
 class TestReadPnm:
@@ -158,6 +158,15 @@ class TestWritePnm:
         path = tmp_path / "h.pgm"
         ps.write_pnm(img, path)
         assert path.read_bytes().endswith(b"\x80" * 4)
+
+    @given(st.integers(0, 10_000), st.integers(1, 9), st.integers(1, 9))
+    @settings(max_examples=20, deadline=None)
+    def test_mask_bytes_match_the_image_writer(self, tmp_path_factory, seed, h, w):
+        tmp = tmp_path_factory.mktemp("mask")
+        mask = np.random.default_rng(seed).uniform(0, 1, (h, w)) < 0.5
+        write_mask(mask, tmp / "mask.pgm")
+        ps.write_pnm(ps.Image(mask, ps.GRAY), tmp / "image.pgm")
+        assert (tmp / "mask.pgm").read_bytes() == (tmp / "image.pgm").read_bytes()
 
     def test_lab_refused(self, tmp_path):
         lab = ps.srgb_to_lab(ps.Image(np.full((2, 2, 3), 0.5), ps.RGB))

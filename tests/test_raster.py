@@ -238,8 +238,8 @@ class TestSupersampled:
 class TestEvaluatorMatchesMask:
     """Factor-1 crossing stats against the mask fill plus moments sum.
 
-    Self-intersecting polylines are checked against winding-number-weighted
-    sums instead, the rule the crossing stats follow.
+    Polylines that are not simple are checked against winding-number-
+    weighted sums instead, the rule the crossing stats follow.
     """
 
     @staticmethod
@@ -264,25 +264,9 @@ class TestEvaluatorMatchesMask:
                 b = getattr(ref, f"{name}_{side}")
                 assert np.all(np.abs(a - b) <= 1e-12 * total), (name, side)
 
-    @given(star_polygons(), st.sampled_from([1, 3]), st.booleans())
-    @settings(max_examples=80, deadline=None)
-    # a triangle between two rows of pixel centres crosses no scanline
-    @example(points=[(10.2, 5.1), (20.7, 5.4), (14.0, 5.9)], channels=1, reverse=False)
-    # a polygon wholly above and left of the frame
-    @example(points=[(-9.0, -9.0), (-3.0, -8.0), (-5.0, -2.0)], channels=3, reverse=False)
-    def test_star_polygons(self, points, channels, reverse):
-        self.check(points[::-1] if reverse else points, channels)
-
-    @given(lattice_polygons(), st.sampled_from([1, 3]))
-    @settings(max_examples=80, deadline=None)
-    # a bow-tie with lobes of 45 and 225 pixels: area 180, where even-odd
-    # counting would give 270
-    @example(points=[(10.5, 10.0), (40.5, 41.0), (40.5, 20.0), (10.5, 20.0)], channels=1)
-    # a bow-tie mirrored about x = 20.5, no pixel centre on an edge: its
-    # lobes cancel, so the inside is empty
-    @example(points=[(10.5, 10.0), (30.5, 31.0), (30.5, 10.0), (10.5, 31.0)], channels=3)
-    def test_lattice_polygons(self, points, channels):
-        """Self-intersecting polylines: each pixel counts with its winding number."""
+    @staticmethod
+    def check_winding(points, channels):
+        """Each pixel counts with its winding number, whatever the polyline."""
         img = FIELDS[channels]
         p = ps.Polygon(points)
         wn = winding_numbers(p.points, FRAME, FRAME)
@@ -302,6 +286,38 @@ class TestEvaluatorMatchesMask:
             for side, ref in (("in", inside), ("out", total - inside)):
                 a = getattr(got, f"{name}_{side}")
                 assert np.all(np.abs(a - ref) <= 1e-12 * total), (name, side)
+
+    @given(star_polygons(), st.sampled_from([1, 3]), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    # a triangle between two rows of pixel centres crosses no scanline
+    @example(points=[(10.2, 5.1), (20.7, 5.4), (14.0, 5.9)], channels=1, reverse=False)
+    # a polygon wholly above and left of the frame
+    @example(points=[(-9.0, -9.0), (-3.0, -8.0), (-5.0, -2.0)], channels=3, reverse=False)
+    # an angular gap above pi lets a star cross itself: area 130 by winding
+    # number, 128 pixels in the even-odd mask
+    @example(points=[(11.92087537, 17.52952742), (9.89892055, 20.23736434),
+                     (9.03820968, 20.76462467), (4.66518896, 24.28194362),
+                     (3.86342512, 18.85366542), (0.43587621, 11.95320894),
+                     (-3.19993854, -0.22868031), (1.08492953, 0.82823),
+                     (-2.08256275, -2.78104189)], channels=1, reverse=False)
+    def test_star_polygons(self, points, channels, reverse):
+        points = np.asarray(points)[::-1] if reverse else points
+        if ps.is_simple(ps.Polygon(points)):
+            self.check(points, channels)
+        else:
+            self.check_winding(points, channels)
+
+    @given(lattice_polygons(), st.sampled_from([1, 3]))
+    @settings(max_examples=80, deadline=None)
+    # a bow-tie with lobes of 45 and 225 pixels: area 180, where even-odd
+    # counting would give 270
+    @example(points=[(10.5, 10.0), (40.5, 41.0), (40.5, 20.0), (10.5, 20.0)], channels=1)
+    # a bow-tie mirrored about x = 20.5, no pixel centre on an edge: its
+    # lobes cancel, so the inside is empty
+    @example(points=[(10.5, 10.0), (30.5, 31.0), (30.5, 10.0), (10.5, 31.0)], channels=3)
+    def test_lattice_polygons(self, points, channels):
+        """Self-intersecting polylines: each pixel counts with its winding number."""
+        self.check_winding(points, channels)
 
 
 # (height, width): a frame, one pixel row, one pixel column
@@ -372,3 +388,97 @@ class TestBlendedRowsMatchFullField:
         finally:
             tracemalloc.stop()
         assert peak < bound, (peak, bound)
+
+
+# one evaluator per (channels, factor) on the FIELDS images
+EVALUATORS = {(c, f): ps.SupersampledEvaluator(FIELDS[c], f) for c in (1, 3) for f in (1, 2, 16)}
+
+
+@st.composite
+def star_moves(draw):
+    """A star polygon and moves of some of its vertices.
+
+    A move shifts its vertex by a few pixels, reflects it through the
+    vertex centroid (far side of the polygon: the moved polygon may cross
+    itself or turn over) or pushes it 200 px off the frame.
+    """
+    points = draw(star_polygons())
+    index = draw(st.lists(st.integers(0, len(points) - 1), min_size=1, max_size=8))
+    centroid = points.mean(axis=0)
+    targets = []
+    for i in index:
+        kind = draw(st.sampled_from(["shift", "reflect", "off_frame"]))
+        if kind == "shift":
+            targets.append(points[i] + draw(st.tuples(st.floats(-4, 4), st.floats(-4, 4))))
+        elif kind == "reflect":
+            targets.append(2.0 * centroid - points[i])
+        else:
+            away = draw(st.sampled_from([(-200, 0), (200, 0), (0, -200), (0, 200)]))
+            targets.append(points[i] + away)
+    return points, index, targets
+
+
+class TestMovedStats:
+    """Moved-edge stats against the stats of each moved polygon in full."""
+
+    @staticmethod
+    def moves_of(kept):
+        """(index, points) of (vertex, moved polygon) pairs."""
+        return [i for i, _ in kept], [q.points[i] for i, q in kept]
+
+    def check(self, points, index, targets, channels, factor):
+        ev = EVALUATORS[channels, factor]
+        p = ps.Polygon(points)
+        kept = []  # (vertex, moved polygon) of every move that gives a polygon
+        for i, q in zip(index, targets):
+            pts = p.points.copy()
+            pts[i] = q
+            try:
+                kept.append((i, ps.Polygon(pts)))
+            except ps.DegeneratePolygon:
+                pass
+        stats = ev.moved_stats(p, *self.moves_of(kept))
+        for j, (_, moved) in enumerate(kept):
+            try:
+                ref = ev.stats(moved)
+            except ps.EmptyRegion:
+                with pytest.raises(ps.EmptyRegion):
+                    next(stats)
+                stats = ev.moved_stats(p, *self.moves_of(kept[j + 1:]))
+                continue
+            got = next(stats)
+            assert got.area_in == ref.area_in
+            assert got.area_out == ref.area_out
+            # both split the same frame total, which sets the scale of the
+            # rounding of their differently ordered sums
+            for name in ("s1", "s2"):
+                total = getattr(ref, f"{name}_in") + getattr(ref, f"{name}_out")
+                for side in ("in", "out"):
+                    a = getattr(got, f"{name}_{side}")
+                    b = getattr(ref, f"{name}_{side}")
+                    assert np.all(np.abs(a - b) <= 1e-12 * total), (name, side)
+        with pytest.raises(StopIteration):
+            next(stats)
+
+    @given(star_moves(), st.sampled_from([1, 3]), st.sampled_from([1, 2, 16]), st.booleans())
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    # a triangle: vertex 0 across the opposite edge turns it clockwise, then
+    # off the frame on each side
+    @example(moves=([(10.0, 10.0), (50.0, 12.0), (30.0, 45.0)], [0, 0, 1, 2, 2],
+                    [(45.0, 40.0), (-200.0, 10.0), (50.0, 300.0), (30.0, -150.0), (31.0, 44.0)]),
+             channels=3, factor=16, reverse=False)
+    # a sliver between two rows of pixel centres stays empty under its first
+    # move and gains pixels under its second
+    @example(moves=([(10.2, 5.1), (20.7, 5.4), (14.0, 5.9)], [2, 2],
+                    [(14.0, 5.8), (14.0, 8.0)]),
+             channels=1, factor=1, reverse=False)
+    # a bow-tie: vertex 1 pulled past vertex 2 makes the polygon cross itself
+    @example(moves=([(10.0, 10.0), (40.0, 10.0), (40.0, 40.0), (10.0, 40.0)], [1],
+                    [(45.0, 45.0)]),
+             channels=1, factor=2, reverse=True)
+    def test_star_polygons(self, moves, channels, factor, reverse):
+        points, index, targets = moves
+        points = np.asarray(points, dtype=np.float64)
+        if reverse:  # same polygon, opposite orientation: vertex i is n-1-i
+            points, index = points[::-1], [len(points) - 1 - i for i in index]
+        self.check(points, index, targets, channels, factor)
