@@ -71,15 +71,14 @@ def _crossings(x1, y1, x2, y2, factor: int, hs: int, ws: int):
     def from_sub(r):
         return r if factor == 1 else (r + 0.5) / f - 0.5
 
-    r0 = np.maximum(np.ceil(to_sub(np.minimum(y1, y2))), 0.0).astype(np.int64)
-    r1 = np.minimum(np.ceil(to_sub(np.maximum(y1, y2))) - 1.0, float(hs - 1)).astype(
-        np.int64
-    )
-    counts = np.maximum(r1 - r0 + 1, 0)
+    # row bounds stay float until a count > 0 puts them on the grid: int64 overflows far off it
+    r0 = np.maximum(np.ceil(to_sub(np.minimum(y1, y2))), 0.0)
+    r1 = np.minimum(np.ceil(to_sub(np.maximum(y1, y2))) - 1.0, hs - 1.0)
+    counts = np.maximum(r1 - r0 + 1.0, 0.0).astype(np.int64)
     total = int(counts.sum())
     eidx = np.repeat(np.arange(x1.size), counts)
     starts = np.cumsum(counts) - counts
-    rows = r0[eidx] + (np.arange(total) - np.repeat(starts, counts))
+    rows = r0[eidx].astype(np.int64) + (np.arange(total) - np.repeat(starts, counts))
     x1, y1, x2, y2 = x1[eidx], y1[eidx], x2[eidx], y2[eidx]
     xc = x1 + (from_sub(rows) - y1) * (x2 - x1) / (y2 - y1)
     cols = np.clip(np.ceil(to_sub(xc)), 0, ws).astype(np.int64)

@@ -17,12 +17,11 @@ and the length term contributes eta * curvature.  Region means, variances
 and areas are fields of the :class:`~polyseg.raster.RegionStats` that
 ``SupersampledEvaluator(img, 1)`` returns, the same exact pixel statistics
 the evolution loop uses, so the gradient matches the energy actually
-reported and descended.  The evolution loop, which reuses one
-``RegionStats`` for the energy and the gradient, and the gradient check,
-which gets the stats of its moved polygons from
-``SupersampledEvaluator.moved_stats``, call :func:`breakdown_from_stats`
-themselves; elsewhere :func:`supersampled_energy` builds every
-:class:`EnergyBreakdown`.
+reported and descended.  The evolution loop calls
+:func:`breakdown_from_stats` once per iteration, on the ``RegionStats`` it
+reuses for the gradient; the gradient check once, on the batch of all its
+moved polygons from ``SupersampledEvaluator.moved_stats``.  Elsewhere
+:func:`supersampled_energy` builds every :class:`EnergyBreakdown`.
 """
 
 from dataclasses import dataclass
@@ -36,7 +35,7 @@ from .raster import RegionStats, SupersampledEvaluator
 
 @dataclass
 class EnergyBreakdown:
-    """One energy evaluation: inside/outside variance terms, length, total."""
+    """Inside/outside variance terms, length and total: floats, or (k,) for k polygons."""
 
     e1: float
     e2: float
@@ -52,10 +51,10 @@ class GradientField:
     normals: np.ndarray
 
 
-def breakdown_from_stats(stats: RegionStats, perimeter: float, eta: float) -> EnergyBreakdown:
-    """Assemble an EnergyBreakdown from region variances and a boundary length."""
-    e1 = float(np.sum(stats.var_in))
-    e2 = float(np.sum(stats.var_out))
+def breakdown_from_stats(stats: RegionStats, perimeter, eta: float) -> EnergyBreakdown:
+    """EnergyBreakdown from region variances and boundary lengths, of one polygon or k."""
+    e1 = stats.var_in.sum(axis=-1)
+    e2 = stats.var_out.sum(axis=-1)
     return EnergyBreakdown(e1=e1, e2=e2, e3=perimeter, total=e1 + e2 + eta * perimeter)
 
 

@@ -34,7 +34,8 @@ class RegionStats:
     """Area, intensity moments, means and variances of the two sides.
 
     Areas are pixel counts (fractional for supersampled stats); s1/s2 are
-    per-channel sums of f and f^2 over each side.  The per-channel means
+    per-channel sums of f and f^2 over each side: (C,) with float areas for
+    one polygon, (k, C) with (k,) areas for k.  The per-channel means
     mu = s1/area and variances var = s2/area - mu^2 are derived on
     construction; var is clamped at 0 to absorb floating-point cancellation
     on (near-)constant regions.
@@ -42,7 +43,7 @@ class RegionStats:
     Raises
     ------
     EmptyRegion
-        If either side has zero area.
+        If either side of any polygon has zero area.
     """
 
     area_in: float
@@ -57,15 +58,18 @@ class RegionStats:
     var_out: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.area_in <= 0.0 or self.area_out <= 0.0:
+        a_in = np.asarray(self.area_in)[..., None]
+        a_out = np.asarray(self.area_out)[..., None]
+        # either side of any polygon; count_nonzero is the cheapest any() here
+        if np.count_nonzero(np.fmin(a_in, a_out) <= 0.0):
             raise EmptyRegion("one side of the segmentation has zero area")
-        mu_in = self.s1_in / self.area_in
-        mu_out = self.s1_out / self.area_out
+        mu_in = self.s1_in / a_in
+        mu_out = self.s1_out / a_out
         derived = {
             "mu_in": mu_in,
             "mu_out": mu_out,
-            "var_in": np.maximum(self.s2_in / self.area_in - mu_in * mu_in, 0.0),
-            "var_out": np.maximum(self.s2_out / self.area_out - mu_out * mu_out, 0.0),
+            "var_in": np.maximum(self.s2_in / a_in - mu_in * mu_in, 0.0),
+            "var_out": np.maximum(self.s2_out / a_out - mu_out * mu_out, 0.0),
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)  # frozen: set once, here
@@ -153,8 +157,8 @@ class SupersampledEvaluator:
             self._prefix1, self._prefix2, p.points[:, 0], p.points[:, 1], self.factor
         ))
 
-    def moved_stats(self, p: Polygon, index, points):
-        """RegionStats of p with vertex index[j] moved to points[j], per move j.
+    def moved_stats(self, p: Polygon, index, points) -> RegionStats:
+        """RegionStats of p with vertex index[j] moved to points[j], for all j.
 
         A move changes only the two edges at its vertex, so each moved
         polygon's signed sums are p's, minus those of its two old edges,
@@ -164,13 +168,12 @@ class SupersampledEvaluator:
         those of :meth:`stats` on the moved polygon exactly; moments agree
         to rounding.
 
-        Yields one RegionStats per move, in move order, each built when
-        its turn comes.
+        Returns one RegionStats whose row j is move j's.
 
         Raises
         ------
         EmptyRegion
-            When the next move leaves either side without a sample.
+            If any move leaves either side without a sample.
         """
         pts = p.points
         index = np.asarray(index, dtype=np.intp)
@@ -188,12 +191,10 @@ class SupersampledEvaluator:
             for e, m in zip(old, new)
         )
         sign = np.where(count < 0, -1.0, 1.0)
-        count, s1, s2 = sign * count, sign[:, None] * s1, sign[:, None] * s2
-        for j in range(len(index)):
-            yield self._region_stats(float(count[j]), s1[j], s2[j])
+        return self._region_stats(sign * count, sign[:, None] * s1, sign[:, None] * s2)
 
-    def _region_stats(self, nsub: float, s1: np.ndarray, s2: np.ndarray) -> RegionStats:
-        """RegionStats from inside sums in sample units."""
+    def _region_stats(self, nsub, s1: np.ndarray, s2: np.ndarray) -> RegionStats:
+        """RegionStats from inside sums in sample units, of one polygon or many."""
         inv = 1.0 / (self.factor * self.factor)
         return RegionStats(
             area_in=nsub * inv,

@@ -1,6 +1,8 @@
 import base64
 import dataclasses
+import importlib.util
 import os
+import pathlib
 import re
 import tracemalloc
 import xml.etree.ElementTree as ET
@@ -20,6 +22,16 @@ from helpers import blob_image, gradcheck_table, pentagram
 
 SVG_IMAGE = "{http://www.w3.org/2000/svg}image"
 XLINK_HREF = "{http://www.w3.org/1999/xlink}href"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """perfbench/workloads.py as a module, read from its file."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
 @pytest.fixture()
@@ -446,6 +458,35 @@ class TestGradcheck:
         assert rc == 0
         expected = gradcheck_table(ps.read_pnm(path), ps.init_circle((cx, cy), r, n), 1e-3)
         assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("seed", [1, 7919])
+    def test_benchmark_table_matches_the_whole_polygon_oracle(self, workloads, tmp_path,
+                                                              capsys, seed):
+        # the gradcheck_smooth workload: 64 vertices at factor 16
+        w = workloads.WORKLOADS["gradcheck_smooth"]
+        path = str(tmp_path / "smooth.pgm")
+        workloads.make_input(ps, w, seed, path)
+        assert main(workloads.argv(w, path, str(tmp_path / "out"))) == 0
+        c = workloads.centre(w)
+        p = ps.init_circle((c, c), w.r_init * w.size, w.vertices)
+        expected = gradcheck_table(ps.read_pnm(path), p, w.eta, factor=w.factor,
+                                   threshold=w.threshold)
+        assert capsys.readouterr().out == expected
+
+    def test_move_that_collapses_an_edge_exits_one(self, tmp_path, capsys):
+        # vertex 1's move by -h lands on vertex 0: the moved polygon would
+        # have two coincident vertices, an input error found before any row
+        img = ps.synth_shape("disk", 64, 64, 0.9, 0.1, {"cx": 32, "cy": 32, "r": 16})
+        ps.write_pnm(img, tmp_path / "disk.pgm")
+        ps.write_polygon(ps.Polygon([(10, 30), (10, 10), (40, 30)]), tmp_path / "tri.txt")
+        rc = main([
+            "gradcheck", "--input", str(tmp_path / "disk.pgm"),
+            "--poly", str(tmp_path / "tri.txt"), "--h", "20",
+        ])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "consecutive vertices coincide" in err
 
     def test_constant_image_passes(self, tmp_path):
         path = tmp_path / "const.pgm"

@@ -66,6 +66,40 @@ class TestMeans:
             dataclasses.replace(st_, area_in=0.0)
 
 
+class TestBatch:
+    """k-row RegionStats and EnergyBreakdowns against k single ones."""
+
+    FIELDS = ("area_in", "area_out", "s1_in", "s1_out", "s2_in", "s2_out")
+
+    def batch(self, rows):
+        return ps.RegionStats(**{f: np.array([getattr(r, f) for r in rows]) for f in self.FIELDS})
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_rows_equal_single_stats_bit_for_bit(self, channels):
+        rng = np.random.default_rng(3)
+        rows = [random_stats(rng, channels) for _ in range(7)]
+        rows.append(random_stats(rng, channels))
+        # a constant side: its variance clamps to 0 in both forms
+        rows[-1] = dataclasses.replace(rows[-1], s2_in=rows[-1].s1_in ** 2 / rows[-1].area_in)
+        perimeter = rng.uniform(10.0, 100.0, len(rows))
+        stats = self.batch(rows)
+        eb = ps.breakdown_from_stats(stats, perimeter, 1e-3)
+        for j, one in enumerate(rows):
+            for name in ("mu_in", "mu_out", "var_in", "var_out"):
+                assert np.array_equal(getattr(stats, name)[j], getattr(one, name)), name
+            ref = ps.breakdown_from_stats(one, float(perimeter[j]), 1e-3)
+            for name in ("e1", "e2", "e3", "total"):
+                assert getattr(eb, name)[j] == getattr(ref, name), name
+
+    def test_any_empty_row_raises(self):
+        rng = np.random.default_rng(4)
+        fields = {f: getattr(self.batch([random_stats(rng) for _ in range(3)]), f)
+                  for f in self.FIELDS}
+        fields["area_out"][1] = 0.0
+        with pytest.raises(ps.EmptyRegion):
+            ps.RegionStats(**fields)
+
+
 class TestEnergy:
     def test_constant_image(self):
         img = ps.Image(np.full((30, 30), 0.7), ps.GRAY)

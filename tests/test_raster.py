@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -234,6 +235,21 @@ class TestSupersampled:
         with pytest.raises(ps.EmptyRegion):
             ps.SupersampledEvaluator(img, 16).stats(p)
 
+    @pytest.mark.parametrize("factor", [1, 16])
+    @pytest.mark.parametrize("ys", [(1e19, 2e19, 3e19), (-3e19, -2e19, -1e19)])
+    def test_polygon_far_off_the_frame_is_empty(self, factor, ys):
+        # its scanline rows lie beyond int64's range: they are clipped to
+        # the frame before the cast, which would otherwise warn of an
+        # invalid value, and span no row
+        img = ps.Image(np.full((24, 24), 0.4), ps.GRAY)
+        p = ps.Polygon([(5.0, ys[0]), (20.0, ys[1]), (12.0, ys[2])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ps.EmptyRegion):
+                ps.SupersampledEvaluator(img, factor).stats(p)
+            with pytest.raises(ps.EmptyRegion):
+                ps.rasterize_mask(p, 24, 24)
+
 
 class TestEvaluatorMatchesMask:
     """Factor-1 crossing stats against the mask fill plus moments sum.
@@ -429,36 +445,38 @@ class TestMovedStats:
     def check(self, points, index, targets, channels, factor):
         ev = EVALUATORS[channels, factor]
         p = ps.Polygon(points)
-        kept = []  # (vertex, moved polygon) of every move that gives a polygon
+        kept, refs = [], []  # every move that gives a polygon, and its stats
         for i, q in zip(index, targets):
             pts = p.points.copy()
             pts[i] = q
             try:
-                kept.append((i, ps.Polygon(pts)))
+                moved = ps.Polygon(pts)
             except ps.DegeneratePolygon:
-                pass
-        stats = ev.moved_stats(p, *self.moves_of(kept))
-        for j, (_, moved) in enumerate(kept):
+                continue
             try:
                 ref = ev.stats(moved)
             except ps.EmptyRegion:
-                with pytest.raises(ps.EmptyRegion):
-                    next(stats)
-                stats = ev.moved_stats(p, *self.moves_of(kept[j + 1:]))
-                continue
-            got = next(stats)
-            assert got.area_in == ref.area_in
-            assert got.area_out == ref.area_out
+                ref = None
+            kept.append((i, moved))
+            refs.append(ref)
+        if any(r is None for r in refs):  # a move that empties a side fails the batch
+            with pytest.raises(ps.EmptyRegion):
+                ev.moved_stats(p, *self.moves_of(kept))
+        # the batch of the other moves, row by row
+        got = ev.moved_stats(p, *self.moves_of([m for m, r in zip(kept, refs) if r is not None]))
+        refs = [r for r in refs if r is not None]
+        assert got.area_in.shape == (len(refs),)
+        for j, ref in enumerate(refs):
+            assert got.area_in[j] == ref.area_in
+            assert got.area_out[j] == ref.area_out
             # both split the same frame total, which sets the scale of the
             # rounding of their differently ordered sums
             for name in ("s1", "s2"):
                 total = getattr(ref, f"{name}_in") + getattr(ref, f"{name}_out")
                 for side in ("in", "out"):
-                    a = getattr(got, f"{name}_{side}")
+                    a = getattr(got, f"{name}_{side}")[j]
                     b = getattr(ref, f"{name}_{side}")
                     assert np.all(np.abs(a - b) <= 1e-12 * total), (name, side)
-        with pytest.raises(StopIteration):
-            next(stats)
 
     @given(star_moves(), st.sampled_from([1, 3]), st.sampled_from([1, 2, 16]), st.booleans())
     @settings(max_examples=120, deadline=None, derandomize=True)
