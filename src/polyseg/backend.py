@@ -14,24 +14,25 @@ Every polygon-to-region computation goes through one crossing rule:
   ``x1 + (y - y1) * (x2 - x1) / (y2 - y1)``.
 
 :func:`fill_mask` counts crossings and keeps their parity (even-odd).
-:func:`ss_stats` adds their signs, so each sample counts with its winding
-number, normalised to the polygon's orientation: the discrete Green's
-theorem behind summed-area tables (Crow, SIGGRAPH 1984).  The two rules
-agree on every simple polygon.  At factor 1 the sample grid is the pixel
-grid and coordinates are used as given, so for a simple polygon
+:func:`edge_sums` is the one reduction of crossings into region sums: it
+adds their signs, each crossing's prefix sums under its sign, per edge.
+Summed over a ring's edges, which is all :func:`ss_stats` does, each
+sample counts with its winding number, taken with the ring's orientation:
+the discrete Green's theorem behind summed-area tables (Crow, SIGGRAPH
+1984).  The two rules agree on every simple polygon up to that
+orientation.  At factor 1 the sample grid is the pixel grid and
+coordinates are used as given, so for a simple counter-clockwise polygon
 :func:`ss_stats` selects exactly the pixels :func:`fill_mask` sets.  On a
 self-intersecting polygon a sample of winding number 2 counts twice and
 one of opposite winding counts negatively, where the mask holds its
 parity.  Every region statistic of the package comes from
-:func:`ss_stats`, or from :func:`edge_sums`, its per-edge share, where
-polygons differ in a few edges; nothing in the package calls
-:func:`mask_stats`, which serves the tests' mask-based oracle and a
-perfbench probe.
+:func:`edge_sums`; nothing in the package calls :func:`mask_stats`,
+which serves the tests' mask-based oracle and a perfbench probe.
 
 The crossing kernel works on edges, not rings: :func:`fill_mask` and
 :func:`ss_stats` close their ring themselves.  Above factor 1 no subsample
 field exists: each crossing costs a blend of two pixel rows' prefix sums
-(see :func:`ss_stats`).
+(see :func:`_crossing_values`).
 """
 
 import numpy as np
@@ -123,8 +124,15 @@ def mask_stats(data: np.ndarray, mask: np.ndarray):
 def _crossing_values(prefix1, prefix2, rows, cols, factor: int):
     """Unsigned (k, C) sums of f and f^2 left of k crossings.
 
-    They are read from the tables of :func:`ss_stats`: a gather at factor 1,
-    a blend of two pixel rows above it.
+    At factor 1, prefix1/prefix2 are (H, W+1, C) row-wise prefix sums of
+    the pixels and of their squares (column 0 is zero), and a crossing
+    gathers one entry of each.  Above it, with a_i the pixel rows
+    interpolated onto the Ws = factor*W subsample columns, prefix1 holds
+    the prefix sums of a_i and prefix2 stacks those of a_i^2 (Q) and of
+    a_i*a_(i+1) (X; a_i^2 on the last row), all (H, Ws+1, C).  Subsample
+    row r is (1-t)*a_i0 + t*a_i1, with (i0, i1, t) the ``_cell`` of its
+    center as in ``bilinear_sample``, so a crossing on it reads a blend of
+    two rows of prefix sums.
     """
     if factor == 1:
         return prefix1[rows, cols], prefix2[rows, cols]
@@ -137,44 +145,16 @@ def _crossing_values(prefix1, prefix2, rows, cols, factor: int):
     return v1, v2
 
 
-def ss_stats(prefix1: np.ndarray, prefix2: np.ndarray, xs, ys, factor: int):
-    """Region sums of a polygon over the sample grid, from its crossings only.
-
-    At factor 1, prefix1/prefix2 are (H, W+1, C) row-wise prefix sums of
-    the pixels and of their squares (column 0 is zero).  Above it, with a_i
-    the pixel rows interpolated onto the Ws = factor*W subsample columns,
-    prefix1 holds the prefix sums of a_i and prefix2 stacks those of a_i^2
-    (Q) and of a_i*a_(i+1) (X; a_i^2 on the last row), all (H, Ws+1, C).
-    Subsample row r is (1-t)*a_i0 + t*a_i1, with (i0, i1, t) the ``_cell``
-    of its center as in ``bilinear_sample``, so a crossing on it reads a
-    blend of two rows of prefix sums.
-
-    Every sum is one signed sum over the crossings: the sample count is
-    sum(sign * col) and the moments are sum(sign * prefix[row, col]),
-    each under the overall sign of the count, so a clockwise polygon gives
-    the stats of its counter-clockwise copy.  Samples count with their
-    winding number (see the module docstring).  A call is
-    O(crossings * C), with no sort.  Returns (n_samples_inside, s1_in,
-    s2_in) in sample units, on the grid described in :func:`_crossings`.
-    """
-    h, wcols, _ = prefix1.shape
-    rows, cols, sign, _ = _crossings(*_ring(xs, ys), factor, h * factor, wcols - 1)
-    nsub = int(sign @ cols)
-    if nsub < 0:
-        sign, nsub = -sign, -nsub
-    sign = sign[:, None]
-    v1, v2 = _crossing_values(prefix1, prefix2, rows, cols, factor)
-    return float(nsub), (sign * v1).sum(axis=0), (sign * v2).sum(axis=0)
-
-
 def edge_sums(prefix1: np.ndarray, prefix2: np.ndarray, x1, y1, x2, y2, factor: int):
-    """Signed sums of each edge's crossings, on the tables of :func:`ss_stats`.
+    """Signed sums of each edge's crossings: the one reduction of crossings.
 
-    Edge k runs from (x1[k], y1[k]) to (x2[k], y2[k]).  Returns (count,
-    s1, s2) of shapes (m,), (m, C) and (m, C): edge k's share of
-    :func:`ss_stats`'s sums before its orientation flip.  Summed over the
-    edges of a ring they give that ring's signed sums, so two rings that
-    share all but a few edges differ by those edges' sums alone.
+    Edge k runs from (x1[k], y1[k]) to (x2[k], y2[k]); the tables are those
+    of :func:`_crossing_values`.  Each crossing adds sign * col to its
+    edge's sample count and sign * prefix[row, col] to its moments.
+    Returns (count, s1, s2) of shapes (m,), (m, C) and (m, C).  Summed over
+    the edges of a ring they give that ring's signed sums (see
+    :func:`ss_stats`), so two rings that share all but a few edges differ
+    by those edges' sums alone.  A call is O(crossings * C), with no sort.
     """
     h, wcols, c = prefix1.shape
     m = len(x1)
@@ -188,3 +168,17 @@ def edge_sums(prefix1: np.ndarray, prefix2: np.ndarray, x1, y1, x2, y2, factor: 
 
     v1, v2 = _crossing_values(prefix1, prefix2, rows, cols, factor)
     return count, per_edge(v1), per_edge(v2)
+
+
+def ss_stats(prefix1: np.ndarray, prefix2: np.ndarray, xs, ys, factor: int):
+    """Signed region sums of the closed polygon with these vertices.
+
+    The sums over the edges of :func:`edge_sums` on the polygon's ring.
+    Returns (n_samples, s1, s2) in sample units, on the grid described in
+    :func:`_crossings`: positive for a counter-clockwise ring (positive
+    shoelace area in pixel coordinates), their negatives for a clockwise
+    one.  Samples count with their winding number (see the module
+    docstring).
+    """
+    count, s1, s2 = edge_sums(prefix1, prefix2, *_ring(xs, ys), factor)
+    return float(count.sum()), s1.sum(axis=0), s2.sum(axis=0)

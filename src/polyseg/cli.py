@@ -96,7 +96,8 @@ def _build_parser() -> argparse.ArgumentParser:
     grad.add_argument("--eta", type=float, default=0.0)
     grad.add_argument("--factor", type=int, default=16,
                       choices=SupersampledEvaluator.FACTORS[1:])
-    grad.add_argument("--h", type=float, default=0.25, help="displacement step (px)")
+    grad.add_argument("--h", type=float, default=0.25,
+                      help="displacement step (px), below the image's larger side")
     grad.add_argument("--threshold", type=float, default=0.1)
     grad.add_argument("--gate", type=float, default=1e-4,
                       help="skip vertices with |analytic| below this")
@@ -207,6 +208,11 @@ def _cmd_gradcheck(args) -> int:
     if not math.isfinite(args.eta):
         raise ValueError("--eta must be finite")
     img, _ = _load_for_mode(args.input, "gray")
+    # a step beyond the frame measures no gradient, and edges of ~1e154 px
+    # overflow the crossing kernel
+    if args.h >= max(img.width, img.height):
+        raise ValueError("--h must be smaller than the image's larger side "
+                         f"({max(img.width, img.height)} px)")
     p = _start_polygon(args.init_circle, args.poly, args.vertices)
 
     g = shape_gradient(img, p, args.eta)

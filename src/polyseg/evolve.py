@@ -206,7 +206,10 @@ def run(img: Image, p0: Polygon, cfg: EvolveConfig, callback=None) -> Segmentati
     Per iteration: region stats from the polygon's scanline crossings ->
     energy (recorded in the trace) -> shape gradient -> step (with a
     self-intersection safeguard that halves dt up to 4 times, then accepts
-    flagged) -> periodic resampling -> convergence check.
+    flagged) -> periodic resampling -> convergence check.  The start must
+    hold more than half object: the energy is variance-normalized, so
+    below that share its region term pushes the contour outward, on a
+    clean disk until it covers most of the frame (acceptance test 12).
     ``callback(k, polygon)``, when given, is invoked with each pre-step
     polygon.  A flagged step (or, rarely, a resample) can leave the polygon
     self-intersecting; its region statistics then count each pixel with

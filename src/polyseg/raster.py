@@ -112,8 +112,10 @@ class SupersampledEvaluator:
     of each row times the next one serve every subsample row.  Set-up is
     O(factor * H * W).  :meth:`stats` then adds the prefix sums at the
     polygon's scanline crossings only, each signed by its edge's direction
-    and read above factor 1 as a blend of two pixel rows
-    (``backend.ss_stats``), without touching the frame.
+    and read above factor 1 as a blend of two pixel rows, without touching
+    the frame.  :meth:`stats` and :meth:`moved_stats` each make one
+    crossing pass, ``backend.edge_sums`` (whose ring form is
+    ``backend.ss_stats``), and share one orientation flip.
     """
 
     FACTORS = (1, 2, 4, 8, 16)
@@ -140,7 +142,8 @@ class SupersampledEvaluator:
         np.cumsum(tables[1:, :, 1:], axis=2, out=tables[1:, :, 1:])
         self._prefix1 = tables[0]
         self._prefix2 = tables[1] if factor == 1 else tables[1:]
-        # frame totals: the sums over a rectangle around every sample
+        # frame totals: the sums over a counter-clockwise rectangle around
+        # every sample, positive as they come
         self._total_sub, self._s1_all, self._s2_all = backend.ss_stats(
             self._prefix1, self._prefix2, [-1, w, w, -1], [-1, -1, h, h], factor
         )
@@ -162,11 +165,10 @@ class SupersampledEvaluator:
 
         A move changes only the two edges at its vertex, so each moved
         polygon's signed sums are p's, minus those of its two old edges,
-        plus those of its two new edges, each under the overall sign of its
-        own count as in :meth:`stats`.  Two crossing passes serve every
-        move: one over p's edges and one over all new edges.  Areas equal
-        those of :meth:`stats` on the moved polygon exactly; moments agree
-        to rounding.
+        plus those of its two new edges.  One crossing pass over p's edges
+        and all new edges serves every move.  Areas equal those of
+        :meth:`stats` on the moved polygon exactly; moments agree to
+        rounding.
 
         Returns one RegionStats whose row j is move j's.
 
@@ -176,25 +178,28 @@ class SupersampledEvaluator:
             If any move leaves either side without a sample.
         """
         pts = p.points
+        n = len(pts)
         index = np.asarray(index, dtype=np.intp)
         points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-        prev, nxt = pts[index - 1], pts[(index + 1) % len(pts)]
-        # new edge 2j runs into moved vertex j, edge 2j+1 out of it
-        into = np.stack((prev, points), axis=1).reshape(-1, 2)
-        out = np.stack((points, nxt), axis=1).reshape(-1, 2)
-        tables = (self._prefix1, self._prefix2)
-        ring = np.concatenate((pts[1:], pts[:1]))
-        old = backend.edge_sums(*tables, *pts.T, *ring.T, self.factor)
-        new = backend.edge_sums(*tables, *into.T, *out.T, self.factor)
-        count, s1, s2 = (
-            e.sum(axis=0) - (e[index - 1] + e[index]) + (m[0::2] + m[1::2])
-            for e, m in zip(old, new)
-        )
-        sign = np.where(count < 0, -1.0, 1.0)
-        return self._region_stats(sign * count, sign[:, None] * s1, sign[:, None] * s2)
+        prev, nxt = pts[index - 1], pts[(index + 1) % n]
+        # p's n edges, then new edges n+2j into moved vertex j and n+2j+1 out of it
+        start = np.concatenate((pts, np.hstack((prev, points)).reshape(-1, 2)))
+        end = np.concatenate((pts[1:], pts[:1], np.hstack((points, nxt)).reshape(-1, 2)))
+        sums = backend.edge_sums(self._prefix1, self._prefix2, *start.T, *end.T, self.factor)
+        return self._region_stats(*(
+            v[:n].sum(axis=0) - (v[:n][index - 1] + v[index]) + (v[n::2] + v[n + 1::2])
+            for v in sums
+        ))
 
     def _region_stats(self, nsub, s1: np.ndarray, s2: np.ndarray) -> RegionStats:
-        """RegionStats from inside sums in sample units, of one polygon or many."""
+        """RegionStats from signed inside sums in sample units, of one polygon or many.
+
+        The sums of a clockwise polygon are the negatives of those of its
+        counter-clockwise copy, so each polygon's are taken under the sign
+        of its count: the one orientation flip of the package.
+        """
+        sign = np.copysign(1.0, nsub)
+        nsub, s1, s2 = sign * nsub, sign[..., None] * s1, sign[..., None] * s2
         inv = 1.0 / (self.factor * self.factor)
         return RegionStats(
             area_in=nsub * inv,

@@ -248,7 +248,7 @@ def full_field_stats(img: ps.Image, factor: int, p: ps.Polygon) -> ps.RegionStat
     tables of it and of its square are differenced at the polygon's runs.
     The runs come from sorting the crossings and pairing them on each row
     (even-odd), not from the signed per-crossing sums of
-    ``backend.ss_stats``, so the two agree only on simple polygons.
+    ``backend.edge_sums``, so the two agree only on simple polygons.
 
     Raises
     ------

@@ -250,3 +250,50 @@ def test_10_paper_configuration_smoke():
     report(10, f"250x250/150-vertex run: converged at iter "
                f"{res.iterations_run} <= 350, energy {first.total:.3f} -> "
                f"{last.total:.3f}, {elapsed:.1f}s < 120s")
+
+
+def test_11_narrow_slot():
+    # the paper's "narrow boundaries": an 8 px slot, 100 px deep, cut into a
+    # clean square is followed to its bottom by 200 vertices (~4 px apart)
+    t0 = time.time()
+    ys, xs = np.mgrid[0:256, 0:256]
+    square = (xs >= 48) & (xs < 208) & (ys >= 48) & (ys < 208)
+    slot = (xs >= 124) & (xs < 132) & (ys >= 48) & (ys < 148)
+    truth = square & ~slot
+    img = ps.Image(np.where(truth, 0.9, 0.1), ps.GRAY)
+    p0 = ps.init_circle((127.5, 127.5), 125, 200)
+    res = ps.run(img, p0, ps.EvolveConfig(n_vertices=200, eta=5e-5, max_iters=630))
+    mask = res.final_mask
+    iou = (mask & truth).sum() / (mask | truth).sum()
+    in_slot = int((mask & slot).sum())
+    elapsed = time.time() - t0
+    assert res.converged
+    assert iou >= 0.998
+    assert in_slot <= 10
+    assert elapsed < 30.0
+    report(11, f"8 px slot: IoU {iou:.4f} >= 0.998, {in_slot} <= 10 slot pixels "
+               f"inside, converged at iter {res.iterations_run} <= 630")
+
+
+def test_12_start_must_hold_more_than_half_object():
+    # the variance energy's basin: a start holding a share p of object at
+    # contrast d changes var(inside) by d^2 p (1 - 2p) / |inside| per
+    # background pixel it drops, so below p = 1/2 the region term pushes
+    # the contour outward; noise-free disk, eta 0
+    t0 = time.time()
+    img = ps.synth_shape("disk", 128, 128, 0.6, 0.4, {"cx": 63.5, "cy": 63.5, "r": 25})
+    disk = img.data[:, :, 0] > 0.5
+    cfg = ps.EvolveConfig(n_vertices=100, eta=0.0)
+    # concentric start circles that hold the share p of the disk
+    held, lost = (ps.run(img, ps.init_circle((63.5, 63.5), 25 / np.sqrt(p), 100), cfg)
+                  for p in (0.55, 0.45))
+    iou = (held.final_mask & disk).sum() / (held.final_mask | disk).sum()
+    grown = int(lost.final_mask.sum())
+    elapsed = time.time() - t0
+    assert held.converged
+    assert iou >= 0.98
+    assert grown > 0.9 * disk.size
+    assert elapsed < 30.0
+    report(12, f"basin: p = 0.55 start reaches IoU {iou:.4f} >= 0.98 at iter "
+               f"{held.iterations_run}; p = 0.45 "
+               f"grows to {grown} of {disk.size} pixels (> 90%)")

@@ -532,6 +532,20 @@ class TestGradcheck:
         assert rc == 1
         assert "--h must be positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("h", ["64", "1e300"])
+    def test_step_not_below_the_frame_exits_one(self, tmp_path, capsys, h):
+        # a 1e300 px step overflowed the crossing kernel's arithmetic
+        img = ps.synth_shape("disk", 64, 64, 0.9, 0.1, {"cx": 32, "cy": 32, "r": 16})
+        ps.write_pnm(img, tmp_path / "disk.pgm")
+        rc = main([
+            "gradcheck", "--input", str(tmp_path / "disk.pgm"), "--init-circle", "32,32,15",
+            "--h", h,
+        ])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--h must be smaller than the image's larger side (64 px)" in err
+
     @pytest.mark.parametrize(
         "flag, value, rule",
         [

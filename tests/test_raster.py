@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import polyseg as ps
+import polyseg.backend
 from helpers import (
     brute_force_mask,
     full_field_stats,
@@ -477,6 +478,26 @@ class TestMovedStats:
                     a = getattr(got, f"{name}_{side}")[j]
                     b = getattr(ref, f"{name}_{side}")
                     assert np.all(np.abs(a - b) <= 1e-12 * total), (name, side)
+
+    @pytest.mark.parametrize("factor", [1, 16])
+    def test_one_crossing_pass_per_call(self, monkeypatch, factor):
+        # stats and moved_stats each reduce one crossing pass
+        # (backend.edge_sums), whatever the number of moves
+        calls = []
+        crossings = polyseg.backend._crossings
+
+        def counting(*args):
+            calls.append(args)
+            return crossings(*args)
+
+        monkeypatch.setattr(polyseg.backend, "_crossings", counting)
+        ev = EVALUATORS[3, factor]
+        p = ps.Polygon(star_polygon(4, n=30).points[::-1])  # clockwise
+        ev.stats(p)
+        assert len(calls) == 1
+        index = [0, 0, 7, 29]
+        ev.moved_stats(p, index, p.points[index] + [[1.5, 0], [0, 1.5], [-1, 1], [2, 2]])
+        assert len(calls) == 2
 
     @given(star_moves(), st.sampled_from([1, 3]), st.sampled_from([1, 2, 16]), st.booleans())
     @settings(max_examples=120, deadline=None, derandomize=True)
