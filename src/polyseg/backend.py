@@ -31,8 +31,9 @@ which serves the tests' mask-based oracle and a perfbench probe.
 
 The crossing kernel works on edges, not rings: :func:`fill_mask` and
 :func:`ss_stats` close their ring themselves.  Above factor 1 no subsample
-field exists: each crossing costs a blend of two pixel rows' prefix sums
-(see :func:`_crossing_values`).
+field exists: :func:`cell_tables` builds O(H*W) tables at every factor,
+and each crossing costs a closed-form blend of two pixel rows (see
+:func:`_crossing_values`).
 """
 
 import numpy as np
@@ -40,6 +41,9 @@ import numpy as np
 from .image import _cell
 
 BACKEND = "numpy"
+# crossings per block of the blend above factor 1: at C = 1 its largest
+# temporaries are 128 KiB, which keeps them in cache
+_BLOCK = 4096
 
 
 def _ring(xs, ys):
@@ -121,27 +125,104 @@ def mask_stats(data: np.ndarray, mask: np.ndarray):
     return float(m.sum()), s1_in, s2_in, s1_all, s2_all
 
 
+def cell_tables(data: np.ndarray, factor: int):
+    """The (prefix1, prefix2) tables of :func:`_crossing_values` above factor 1.
+
+    data is the (H, W, C) image.  Each row is padded with its end values,
+    so the left and right borders' factor/2 clamped subsample columns lie
+    in cells 0 and W, and the sums over each whole cell 0..W-1 have a
+    closed form in its two end values.  The cumulative sums start from
+    minus the left border's half cell, which no subsample column covers.
+    O(H*W) time and memory, whatever the factor.
+    """
+    h, w, c = data.shape
+    half = factor / 2.0  # the sum of a cell's subsample offsets (k+0.5)/factor
+    sq = (4.0 * factor * factor - 1.0) / (12.0 * factor)  # ... and of their squares
+    pad = np.concatenate((data[:, :1], data, data[:, -1:]), axis=1)
+    nxt = np.concatenate((pad[1:], pad[-1:]))  # each row's next one; the last row's is itself
+    tables = np.empty((h, w + 1, 4, c))
+    cross = np.empty((h, w + 1, c))
+    tables[:, :, 2] = pad[:, :-1]
+    np.subtract(pad[:, 1:], pad[:, :-1], out=tables[:, :, 3])
+
+    def cumulate(out, first):
+        """Column 0 takes off the left half cell; column J+1 adds cell J."""
+        np.multiply(first, -half, out=out[:, 0])
+        np.cumsum(out, axis=1, out=out)
+
+    # sum over cell J of a*b with a, b linear from (a0, b0) to (a1, b1):
+    # half*(a0*b1 + a1*b0) + sq*(a1-a0)*(b1-b0)
+    def products(b, out):
+        np.multiply(pad[:, :-2], b[:, 1:-1], out=out[:, 1:])
+        out[:, 1:] += pad[:, 1:-1] * b[:, :-2]
+        out[:, 1:] *= half
+        out[:, 1:] += sq * tables[:, :-1, 3] * (b[:, 1:-1] - b[:, :-2])
+        cumulate(out, pad[:, 0] * b[:, 0])
+
+    np.add(pad[:, :-2], pad[:, 1:-1], out=tables[:, 1:, 0])
+    tables[:, 1:, 0] *= half
+    cumulate(tables[:, :, 0], pad[:, 0])
+    products(pad, tables[:, :, 1])
+    products(nxt, cross)
+    return tables, cross
+
+
 def _crossing_values(prefix1, prefix2, rows, cols, factor: int):
     """Unsigned (k, C) sums of f and f^2 left of k crossings.
 
     At factor 1, prefix1/prefix2 are (H, W+1, C) row-wise prefix sums of
     the pixels and of their squares (column 0 is zero), and a crossing
-    gathers one entry of each.  Above it, with a_i the pixel rows
-    interpolated onto the Ws = factor*W subsample columns, prefix1 holds
-    the prefix sums of a_i and prefix2 stacks those of a_i^2 (Q) and of
-    a_i*a_(i+1) (X; a_i^2 on the last row), all (H, Ws+1, C).  Subsample
-    row r is (1-t)*a_i0 + t*a_i1, with (i0, i1, t) the ``_cell`` of its
-    center as in ``bilinear_sample``, so a crossing on it reads a blend of
-    two rows of prefix sums.
+    gathers one entry of each.
+
+    Above it the tables are O(H*W), whatever the factor.  Subsample row r
+    is (1-t)*a_i0 + t*a_i1, with (i0, i1, t) the ``_cell`` of its center
+    as in ``bilinear_sample`` and a_i pixel row i interpolated onto the
+    subsample columns.  Padded with its end values, a row is linear inside
+    each cell [J-1, J] of pixel centers, and every cell holds ``factor``
+    subsample columns at the same offsets, so the prefix sums of a_i, of
+    a_i^2 (Q) and of a_i*a_(i+1) (X) at any column have a closed form:
+    whole cells left of cell J plus the first m subsamples of cell J.
+    prefix1 is (H, W+1, 4, C); entry [i, J] holds those whole-cell sums
+    of a_i and of a_i^2 (less the left border's half cell), the padded
+    row's value at the cell's left end and its step across the cell.
+    prefix2 is (H, W+1, C), the whole-cell sums of X (of a_i^2 on the
+    last row).  A crossing reads entry [i0, J] and [i1, J] of prefix1 and
+    [i0, J] of prefix2, and the polynomial in m of the blended row.
     """
     if factor == 1:
         return prefix1[rows, cols], prefix2[rows, cols]
-    i0, i1, t = _cell((rows + 0.5) / factor - 0.5, prefix1.shape[0])
+    v1, v2 = np.empty((2, rows.size, prefix1.shape[-1]))
+    for lo in range(0, rows.size, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        v1[block], v2[block] = _blend(prefix1, prefix2, rows[block], cols[block], factor)
+    return v1, v2
+
+
+def _blend(prefix1, prefix2, rows, cols, factor: int):
+    """:func:`_crossing_values` above factor 1, for one block of crossings."""
+    h, wcols, _, c = prefix1.shape
+    i0, i1, t = _cell((rows + 0.5) / factor - 0.5, h)
+    # the first col subsample columns fill the right half of cell 0, the
+    # cells before cell J and the first m columns of cell J
+    cell, m = np.divmod(cols + factor // 2, factor)
+    m = m.astype(np.float64)
+    s1 = (m * m / (2.0 * factor))[:, None]  # sum of the first m offsets
+    s2 = (m * (4.0 * m * m - 1.0) / (12.0 * factor * factor))[:, None]  # ... of their squares
+    m = m[:, None]
+    at0 = i0 * wcols + cell
+    # row i1 is i0 + 1, or i0 itself on a one-row frame
+    flat = prefix1.reshape(h * wcols, 4 * c)
+    r0 = flat.take(at0, axis=0).reshape(-1, 4, c)
+    r1 = flat.take(at0 + (i1 - i0) * wcols, axis=0).reshape(-1, 4, c)
+    x0 = prefix2.reshape(h * wcols, c).take(at0, axis=0)
     t = t[:, None]
     u = 1.0 - t
-    q, x = prefix2
-    v1 = u * prefix1[i0, cols] + t * prefix1[i1, cols]
-    v2 = u * u * q[i0, cols] + 2.0 * t * u * x[i0, cols] + t * t * q[i1, cols]
+    # the blended row's value at the cell's left end and its step across the cell
+    g = u * r0[:, 2] + t * r1[:, 2]
+    d = u * r0[:, 3] + t * r1[:, 3]
+    v1 = u * r0[:, 0] + t * r1[:, 0] + m * g + s1 * d
+    v2 = (u * u * r0[:, 1] + 2.0 * t * u * x0 + t * t * r1[:, 1]
+          + m * g * g + 2.0 * s1 * g * d + s2 * d * d)
     return v1, v2
 
 
@@ -156,9 +237,10 @@ def edge_sums(prefix1: np.ndarray, prefix2: np.ndarray, x1, y1, x2, y2, factor: 
     :func:`ss_stats`), so two rings that share all but a few edges differ
     by those edges' sums alone.  A call is O(crossings * C), with no sort.
     """
-    h, wcols, c = prefix1.shape
+    h, wcols = prefix1.shape[:2]
+    c = prefix1.shape[-1]
     m = len(x1)
-    rows, cols, sign, edge = _crossings(x1, y1, x2, y2, factor, h * factor, wcols - 1)
+    rows, cols, sign, edge = _crossings(x1, y1, x2, y2, factor, h * factor, factor * (wcols - 1))
     count = np.bincount(edge, weights=sign * cols, minlength=m)
     slot = (edge[:, None] * c + np.arange(c)).ravel()
     sign = sign[:, None]

@@ -188,6 +188,14 @@ def _cmd_segment(args) -> int:
         f"polyseg: {status} after {result.iterations_run} iterations, "
         f"E={result.trace[-1].total:.6g}, simple={result.final_simple}"
     )
+    # vertices, not the mask: under the top-left rule the mask never sets
+    # the last row or column
+    pts = result.final_polygon.points
+    far = (work.width - 1, work.height - 1)
+    if np.all(pts.min(axis=0) <= 0) and np.all(pts.max(axis=0) >= far):
+        print("polyseg: warning: the contour touches all four sides of the frame; a start "
+              'that holds less than half object grows this way (README, "Choosing the start")',
+              file=sys.stderr)
     return 0
 
 

@@ -73,9 +73,9 @@ def supersampled_energy(ev: SupersampledEvaluator, p: Polygon, eta: float) -> En
     At factor 1 this is :func:`energy`.  At factors 2-16 each subsample
     carries the bilinearly interpolated intensity and contributes
     fractionally to the region moments, which gives the smooth energy of
-    the gradient check.  The evaluator's set-up is O(factor * H * W) and
-    builds no subsample field; each scanline crossing costs a blend of two
-    pixel rows.
+    the gradient check.  The evaluator's set-up is O(H*W) at every factor
+    and builds no subsample field; each scanline crossing costs a
+    closed-form blend of two pixel rows.
     """
     return breakdown_from_stats(ev.stats(p), polygon_perimeter(p), eta)
 

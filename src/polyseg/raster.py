@@ -10,10 +10,10 @@ top-left convention (see ``polyseg.backend``).
 :class:`SupersampledEvaluator` is the one path from a polygon to its
 :class:`RegionStats`: at factor 1 it gives the exact pixel statistics the
 energy, the shape gradient and the evolution loop use, at higher factors
-the fractional ones of the gradient check.  Its set-up is
-O(factor * H * W) and builds no subsample field; each scanline crossing
-costs a blend of two pixel rows, and each copy of a polygon with one
-vertex moved costs only the crossings of its two new edges.  A
+the fractional ones of the gradient check.  Its set-up is O(H*W) at
+every factor and builds no subsample field; each scanline crossing costs
+a closed-form blend of two pixel rows, and each copy of a polygon with
+one vertex moved costs only the crossings of its two new edges.  A
 :class:`RegionStats` derives the region means and variances itself and is
 the one place that rejects an empty side.  :func:`rasterize_mask` selects
 the same pixels as an explicit mask; it serves the final mask of a run.
@@ -26,7 +26,7 @@ import numpy as np
 from . import backend
 from .errors import EmptyRegion
 from .geometry import Polygon
-from .image import Image, _cell
+from .image import Image
 
 
 @dataclass(frozen=True)
@@ -108,12 +108,13 @@ class SupersampledEvaluator:
     At factor 1, row prefix sums of the pixels and of their squares are
     built once per image.  Above it no subsample field is built: every
     subsample row is a blend of two pixel rows interpolated onto the
-    subsample columns, so prefix sums of those rows, of their squares and
-    of each row times the next one serve every subsample row.  Set-up is
-    O(factor * H * W).  :meth:`stats` then adds the prefix sums at the
-    polygon's scanline crossings only, each signed by its edge's direction
-    and read above factor 1 as a blend of two pixel rows, without touching
-    the frame.  :meth:`stats` and :meth:`moved_stats` each make one
+    subsample columns, and the prefix sums of those rows, of their squares
+    and of each row times the next one have a closed form in per-pixel
+    cumulative sums (``backend.cell_tables``).  Set-up is O(H*W) at every
+    factor.  :meth:`stats` then adds the prefix sums at the polygon's
+    scanline crossings only, each signed by its edge's direction and read
+    above factor 1 as a blend of two pixel rows, without touching the
+    frame.  :meth:`stats` and :meth:`moved_stats` each make one
     crossing pass, ``backend.edge_sums`` (whose ring form is
     ``backend.ss_stats``), and share one orientation flip.
     """
@@ -126,22 +127,18 @@ class SupersampledEvaluator:
         self.factor = factor
         rows = img.data
         h, w, c = rows.shape
-        if factor > 1:
-            j0, j1, tx = _cell((np.arange(w * factor) + 0.5) / factor - 0.5, w)
-            rows = rows[:, j0, :] * (1.0 - tx)[None, :, None] + rows[:, j1, :] * tx[None, :, None]
-        # one block for all tables: the allocator hands a single large block
-        # back to the OS when it is freed, where smaller ones can stay in
-        # the heap and raise the peak RSS of a process that runs many images
-        tables = np.zeros((2 if factor == 1 else 3, h, rows.shape[1] + 1, c))
-        np.cumsum(rows, axis=1, out=tables[0, :, 1:])
-        np.multiply(rows, rows, out=tables[1, :, 1:])
-        if factor > 1:
-            # each row times the next; the last row, clamped, times itself
-            np.multiply(rows[:-1], rows[1:], out=tables[2, :-1, 1:])
-            tables[2, -1] = tables[1, -1]
-        np.cumsum(tables[1:, :, 1:], axis=2, out=tables[1:, :, 1:])
-        self._prefix1 = tables[0]
-        self._prefix2 = tables[1] if factor == 1 else tables[1:]
+        if factor == 1:
+            # one block for both tables: the allocator hands a single large
+            # block back to the OS when it is freed, where smaller ones can
+            # stay in the heap and raise the peak RSS of a process that runs
+            # many images
+            tables = np.zeros((2, h, w + 1, c))
+            np.cumsum(rows, axis=1, out=tables[0, :, 1:])
+            np.multiply(rows, rows, out=tables[1, :, 1:])
+            np.cumsum(tables[1, :, 1:], axis=1, out=tables[1, :, 1:])
+            self._prefix1, self._prefix2 = tables
+        else:
+            self._prefix1, self._prefix2 = backend.cell_tables(rows, factor)
         # frame totals: the sums over a counter-clockwise rectangle around
         # every sample, positive as they come
         self._total_sub, self._s1_all, self._s2_all = backend.ss_stats(

@@ -283,6 +283,46 @@ def full_field_stats(img: ps.Image, factor: int, p: ps.Polygon) -> ps.RegionStat
     )
 
 
+def wide_tables(img: ps.Image, factor: int):
+    """Prefix tables of the pixel rows interpolated onto the subsample columns.
+
+    The former factor > 1 set-up of ``SupersampledEvaluator``, kept as the
+    reference of the closed-form tables of ``backend.cell_tables``: with
+    a_i pixel row i interpolated onto the factor*W subsample columns,
+    returns (A, QX), A the row-wise prefix sums of a_i and QX those of
+    a_i^2 (Q) and of a_i*a_(i+1) (X; a_i^2 on the last row) stacked, all
+    (H, factor*W+1, C) with a zero column 0.
+    """
+    rows = img.data
+    h, w, c = rows.shape
+    j0, j1, tx = _cell((np.arange(w * factor) + 0.5) / factor - 0.5, w)
+    rows = rows[:, j0, :] * (1.0 - tx)[None, :, None] + rows[:, j1, :] * tx[None, :, None]
+    tables = np.zeros((3, h, rows.shape[1] + 1, c))
+    np.cumsum(rows, axis=1, out=tables[0, :, 1:])
+    np.multiply(rows, rows, out=tables[1, :, 1:])
+    # each row times the next; the last row, clamped, times itself
+    np.multiply(rows[:-1], rows[1:], out=tables[2, :-1, 1:])
+    tables[2, -1] = tables[1, -1]
+    np.cumsum(tables[1:, :, 1:], axis=2, out=tables[1:, :, 1:])
+    return tables[0], tables[1:]
+
+
+def wide_crossing_values(prefix1, prefix2, rows, cols, factor: int):
+    """Unsigned sums of f and f^2 left of crossings, read from ``wide_tables``.
+
+    The former factor > 1 branch of ``backend._crossing_values``: subsample
+    row r is (1-t)*a_i0 + t*a_i1, with (i0, i1, t) the ``_cell`` of its
+    center, so a crossing reads a blend of two rows of prefix sums.
+    """
+    i0, i1, t = _cell((rows + 0.5) / factor - 0.5, prefix1.shape[0])
+    t = t[:, None]
+    u = 1.0 - t
+    q, x = prefix2
+    v1 = u * prefix1[i0, cols] + t * prefix1[i1, cols]
+    v2 = u * u * q[i0, cols] + 2.0 * t * u * x[i0, cols] + t * t * q[i1, cols]
+    return v1, v2
+
+
 def gradcheck_table(img: ps.Image, p: ps.Polygon, eta: float, factor: int = 16,
                     h: float = 0.25, gate: float = 1e-4, threshold: float = 0.1) -> str:
     """The stdout of ``polyseg gradcheck``, one whole-polygon energy per move.

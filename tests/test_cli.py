@@ -331,6 +331,27 @@ class TestSegment:
         assert len(lines) == reported + 1
         assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(reported))
 
+    def test_warns_when_the_contour_hugs_the_frame(self, tmp_path, capsys):
+        # acceptance test 12's disk: a start that holds 45% object grows
+        # until its vertices reach all four sides, one that holds 55%
+        # converges onto the disk; both exit 0 with "converged"
+        disk = tmp_path / "basin.pgm"
+        assert main([
+            "synth", "--kind", "disk", "--width", "128", "--height", "128",
+            "--fg", "0.6", "--bg", "0.4", "--cx", "63.5", "--cy", "63.5", "--r", "25",
+            "--out", str(disk),
+        ]) == 0
+        for held, warns in ((0.45, True), (0.55, False)):
+            rc = main([
+                "segment", "--input", str(disk), "--vertices", "100", "--eta", "0",
+                "--init-circle", f"63.5,63.5,{25 / np.sqrt(held)}", "--out", str(tmp_path / "out"),
+            ])
+            captured = capsys.readouterr()
+            assert rc == 0
+            assert captured.out.startswith("polyseg: converged after ")
+            assert ("four sides of the frame" in captured.err) == warns, captured.err
+            assert ('"Choosing the start"' in captured.err) == warns
+
     def test_overlay_link_writes_relative_href(self, disk_pgm, tmp_path):
         out = tmp_path / "run"
         rc = main(segment_args(disk_pgm, out, extra=["--overlay-link", "--snapshot-every", "20"]))

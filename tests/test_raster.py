@@ -15,6 +15,8 @@ from helpers import (
     naive_region_sums,
     region_stats,
     star_polygon,
+    wide_crossing_values,
+    wide_tables,
     winding_numbers,
 )
 
@@ -405,6 +407,44 @@ class TestBlendedRowsMatchFullField:
         finally:
             tracemalloc.stop()
         assert peak < bound, (peak, bound)
+
+
+class TestClosedFormTables:
+    """Closed-form pixel-row tables against the former factor-wide tables."""
+
+    @pytest.mark.parametrize("factor", [2, 4, 8, 16])
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("shape", [(1, 7), (6, 1), (1, 1), (2, 3), (37, 53)])
+    def test_every_row_and_column(self, shape, channels, factor):
+        # every subsample column of every subsample row: the factor rows
+        # around pixel row i blend its entries of A and Q with weights
+        # u and t, and of X with 2tu, at every column
+        h, w = shape
+        data = np.random.default_rng(h + 7 * w + channels).uniform(0, 1, (h, w, channels))
+        img = ps.Image(data, ps.GRAY if channels == 1 else ps.RGB)
+        ev = ps.SupersampledEvaluator(img, factor)
+        a, qx = wide_tables(img, factor)
+        cols = np.arange(factor * w + 1)
+        for i in range(h):  # one pixel row's subsample rows at a time
+            rows = np.repeat(np.arange(i * factor, (i + 1) * factor), cols.size)
+            at = np.tile(cols, factor)
+            got = polyseg.backend._crossing_values(ev._prefix1, ev._prefix2, rows, at, factor)
+            ref = wide_crossing_values(a, qx, rows, at, factor)
+            for name, g, r, table in zip(("A", "QX"), got, ref, (a, qx)):
+                assert g.shape == r.shape == (rows.size, channels)
+                assert np.all(np.abs(g - r) <= 1e-13 * np.abs(table).max()), (name, i)
+
+    def test_set_up_memory_does_not_grow_with_the_factor(self):
+        img = ps.Image(np.random.default_rng(0).uniform(0, 1, (256, 256)), ps.GRAY)
+        peaks = {}
+        for factor in (2, 16):
+            tracemalloc.start()
+            try:
+                ps.SupersampledEvaluator(img, factor)
+                peaks[factor] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[16] <= 1.5 * peaks[2], peaks
 
 
 # one evaluator per (channels, factor) on the FIELDS images
