@@ -30,10 +30,13 @@ parity.  Every region statistic of the package comes from
 which serves the tests' mask-based oracle and a perfbench probe.
 
 The crossing kernel works on edges, not rings: :func:`fill_mask` and
-:func:`ss_stats` close their ring themselves.  Above factor 1 no subsample
-field exists: :func:`cell_tables` builds O(H*W) tables at every factor,
-and each crossing costs a closed-form blend of two pixel rows (see
-:func:`_crossing_values`).
+:func:`ss_stats` close their ring themselves.  The tables that crossings
+read are built here alone: :func:`cell_tables` builds O(H*W) tables at
+every factor, plain row prefix sums at factor 1.  Above it no subsample
+field exists, and each crossing costs a closed-form blend of two pixel
+rows (see :func:`_crossing_values`).  :func:`frame_sums` reads the whole
+frame's sums from the tables' last column, with no crossing pass: a
+summed-area table holds its totals in its last entries.
 """
 
 import numpy as np
@@ -126,16 +129,29 @@ def mask_stats(data: np.ndarray, mask: np.ndarray):
 
 
 def cell_tables(data: np.ndarray, factor: int):
-    """The (prefix1, prefix2) tables of :func:`_crossing_values` above factor 1.
+    """The (prefix1, prefix2) tables of :func:`_crossing_values` at this factor.
 
-    data is the (H, W, C) image.  Each row is padded with its end values,
-    so the left and right borders' factor/2 clamped subsample columns lie
-    in cells 0 and W, and the sums over each whole cell 0..W-1 have a
-    closed form in its two end values.  The cumulative sums start from
-    minus the left border's half cell, which no subsample column covers.
-    O(H*W) time and memory, whatever the factor.
+    data is the (H, W, C) image.  At factor 1 they are the row-wise prefix
+    sums of the pixels and of their squares, with a zero column 0.  Above
+    it each row is padded with its end values, so the left and right
+    borders' factor/2 clamped subsample columns lie in cells 0 and W, and
+    the sums over each whole cell 0..W-1 have a closed form in its two end
+    values.  The cumulative sums start from minus the left border's half
+    cell, which no subsample column covers.  O(H*W) time and memory,
+    whatever the factor.  A crossing right of the last sample column reads
+    column W, the sums over a whole sample row (see :func:`frame_sums`).
     """
     h, w, c = data.shape
+    if factor == 1:
+        # one block for both tables: the allocator hands a single large
+        # block back to the OS when it is freed, where smaller ones can
+        # stay in the heap and raise the peak RSS of a process that runs
+        # many images
+        tables = np.zeros((2, h, w + 1, c))
+        np.cumsum(data, axis=1, out=tables[0, :, 1:])
+        np.multiply(data, data, out=tables[1, :, 1:])
+        np.cumsum(tables[1, :, 1:], axis=1, out=tables[1, :, 1:])
+        return tuple(tables)
     half = factor / 2.0  # the sum of a cell's subsample offsets (k+0.5)/factor
     sq = (4.0 * factor * factor - 1.0) / (12.0 * factor)  # ... and of their squares
     pad = np.concatenate((data[:, :1], data, data[:, -1:]), axis=1)
@@ -264,3 +280,18 @@ def ss_stats(prefix1: np.ndarray, prefix2: np.ndarray, xs, ys, factor: int):
     """
     count, s1, s2 = edge_sums(prefix1, prefix2, *_ring(xs, ys), factor)
     return float(count.sum()), s1.sum(axis=0), s2.sum(axis=0)
+
+
+def frame_sums(prefix1: np.ndarray, prefix2: np.ndarray, factor: int):
+    """(n_samples, s1, s2) of the whole sample grid, from the tables alone.
+
+    Each sample row's sums are the :func:`_crossing_values` right of its
+    last sample, read from column W of the tables; no crossing pass is
+    made.  The rows are added in order by a sequential ``cumsum``, as
+    :func:`edge_sums` adds an edge's crossings, so the totals equal those
+    of :func:`ss_stats` on a ring around the frame to the bit, where a
+    pairwise ``sum`` would not.
+    """
+    hs, ws = prefix1.shape[0] * factor, factor * (prefix1.shape[1] - 1)
+    v1, v2 = _crossing_values(prefix1, prefix2, np.arange(hs), np.full(hs, ws), factor)
+    return float(hs * ws), np.cumsum(v1, axis=0)[-1], np.cumsum(v2, axis=0)[-1]

@@ -32,6 +32,8 @@ class Image:
             data = data[:, :, None]
         if data.ndim != 3:
             raise ValueError("image data must be (H, W) or (H, W, C)")
+        if data.shape[0] == 0 or data.shape[1] == 0:
+            raise ValueError(f"image needs at least one row and one column, got {data.shape[:2]}")
         if self.colorspace not in _CHANNELS:
             raise ValueError(f"unknown colorspace {self.colorspace!r}")
         if data.shape[2] != _CHANNELS[self.colorspace]:

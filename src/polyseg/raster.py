@@ -10,15 +10,18 @@ top-left convention (see ``polyseg.backend``).
 :class:`SupersampledEvaluator` is the one path from a polygon to its
 :class:`RegionStats`: at factor 1 it gives the exact pixel statistics the
 energy, the shape gradient and the evolution loop use, at higher factors
-the fractional ones of the gradient check.  Its set-up is O(H*W) at
-every factor and builds no subsample field; each scanline crossing costs
-a closed-form blend of two pixel rows, and each copy of a polygon with
-one vertex moved costs only the crossings of its two new edges.  A
-:class:`RegionStats` derives the region means and variances itself and is
-the one place that rejects an empty side.  :func:`rasterize_mask` selects
-the same pixels as an explicit mask; it serves the final mask of a run.
+the fractional ones of the gradient check.  Its set-up is two calls into
+``polyseg.backend``, which builds its tables (O(H*W) at every factor, no
+subsample field) and reads the frame totals from them without a crossing
+pass.  Each scanline crossing costs a closed-form blend of two pixel
+rows, and each copy of a polygon with one vertex moved costs only the
+crossings of its two new edges.  A :class:`RegionStats` derives the
+region means and variances itself and is the one place that rejects an
+empty side.  :func:`rasterize_mask` selects the same pixels as an
+explicit mask; it serves the final mask of a run.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,13 +108,16 @@ class SupersampledEvaluator:
     polygon moves, which makes the evaluator the smooth-energy oracle of
     finite-difference gradient checks.
 
-    At factor 1, row prefix sums of the pixels and of their squares are
-    built once per image.  Above it no subsample field is built: every
-    subsample row is a blend of two pixel rows interpolated onto the
-    subsample columns, and the prefix sums of those rows, of their squares
-    and of each row times the next one have a closed form in per-pixel
-    cumulative sums (``backend.cell_tables``).  Set-up is O(H*W) at every
-    factor.  :meth:`stats` then adds the prefix sums at the polygon's
+    Set-up is ``backend.cell_tables``, O(H*W) at every factor: at factor 1
+    row prefix sums of the pixels and of their squares.  Above it no
+    subsample field is built: every subsample row is a blend of two pixel
+    rows interpolated onto the subsample columns, and the prefix sums of
+    those rows, of their squares and of each row times the next one have a
+    closed form in per-pixel cumulative sums.  The frame totals are the
+    tables' last column, summed over the sample rows
+    (``backend.frame_sums``); set-up makes no crossing pass.  A factor
+    outside :attr:`FACTORS`, or not an integer, raises ``ValueError``.
+    :meth:`stats` then adds the prefix sums at the polygon's
     scanline crossings only, each signed by its edge's direction and read
     above factor 1 as a blend of two pixel rows, without touching the
     frame.  :meth:`stats` and :meth:`moved_stats` each make one
@@ -122,28 +128,11 @@ class SupersampledEvaluator:
     FACTORS = (1, 2, 4, 8, 16)
 
     def __init__(self, img: Image, factor: int):
-        if factor not in self.FACTORS:
+        if not isinstance(factor, numbers.Integral) or factor not in self.FACTORS:
             raise ValueError(f"factor must be one of {self.FACTORS}")
         self.factor = factor
-        rows = img.data
-        h, w, c = rows.shape
-        if factor == 1:
-            # one block for both tables: the allocator hands a single large
-            # block back to the OS when it is freed, where smaller ones can
-            # stay in the heap and raise the peak RSS of a process that runs
-            # many images
-            tables = np.zeros((2, h, w + 1, c))
-            np.cumsum(rows, axis=1, out=tables[0, :, 1:])
-            np.multiply(rows, rows, out=tables[1, :, 1:])
-            np.cumsum(tables[1, :, 1:], axis=1, out=tables[1, :, 1:])
-            self._prefix1, self._prefix2 = tables
-        else:
-            self._prefix1, self._prefix2 = backend.cell_tables(rows, factor)
-        # frame totals: the sums over a counter-clockwise rectangle around
-        # every sample, positive as they come
-        self._total_sub, self._s1_all, self._s2_all = backend.ss_stats(
-            self._prefix1, self._prefix2, [-1, w, w, -1], [-1, -1, h, h], factor
-        )
+        self._prefix1, self._prefix2 = tables = backend.cell_tables(img.data, factor)
+        self._total_sub, self._s1_all, self._s2_all = backend.frame_sums(*tables, factor)
 
     def stats(self, p: Polygon) -> RegionStats:
         """RegionStats of the polygon, in pixel-area units.
@@ -171,12 +160,16 @@ class SupersampledEvaluator:
 
         Raises
         ------
+        ValueError
+            If an index lies outside [0, n) for p's n vertices.
         EmptyRegion
             If any move leaves either side without a sample.
         """
         pts = p.points
         n = len(pts)
         index = np.asarray(index, dtype=np.intp)
+        if np.any((index < 0) | (index >= n)):
+            raise ValueError(f"vertex indices must lie in [0, {n})")
         points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
         prev, nxt = pts[index - 1], pts[(index + 1) % n]
         # p's n edges, then new edges n+2j into moved vertex j and n+2j+1 out of it

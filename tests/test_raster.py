@@ -230,6 +230,26 @@ class TestSupersampled:
         with pytest.raises(ValueError):
             ps.SupersampledEvaluator(img, 3)
 
+    @pytest.mark.parametrize("factor", [16.0, 2.5])
+    def test_non_integer_factor(self, factor):
+        # 16.0 == 16 passes a membership test; only integers are factors
+        img = ps.Image(np.zeros((8, 8)), ps.GRAY)
+        with pytest.raises(ValueError, match="factor must be one of"):
+            ps.SupersampledEvaluator(img, factor)
+
+    def test_numpy_integer_factor(self, blob64):
+        p = ps.init_circle((32, 32), 20, 40)
+        got = ps.SupersampledEvaluator(blob64, np.int64(16)).stats(p)
+        ref = ps.SupersampledEvaluator(blob64, 16).stats(p)
+        assert got.area_in == ref.area_in
+        assert np.array_equal(got.s2_out, ref.s2_out)
+
+    @pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0, 0, 3)])
+    def test_empty_frame(self, shape):
+        # rejected on construction, not later as an EmptyRegion or IndexError
+        with pytest.raises(ValueError, match="one row and one column"):
+            ps.Image(np.zeros(shape), ps.GRAY if len(shape) == 2 else ps.RGB)
+
     def test_sliver_between_sample_rows_is_empty(self):
         # factor-16 sample rows sit at y = 10.03125 and 10.09375: the sliver
         # lies between them and crosses none
@@ -395,19 +415,6 @@ class TestBlendedRowsMatchFullField:
                 b = getattr(ref, f"{name}_{side}")
                 assert np.all(np.abs(a - b) <= 1e-14 * total), (name, side)
 
-    def test_set_up_memory_is_a_few_pixel_row_tables(self):
-        # the factor-16 set-up builds (H, 16W+1) tables, not the (16H, 16W)
-        # field: its peak stays below six such tables
-        img = ps.Image(np.random.default_rng(0).uniform(0, 1, (256, 256)), ps.GRAY)
-        bound = 6 * 256 * (16 * 256 + 1) * 8
-        tracemalloc.start()
-        try:
-            ps.SupersampledEvaluator(img, 16)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < bound, (peak, bound)
-
 
 class TestClosedFormTables:
     """Closed-form pixel-row tables against the former factor-wide tables."""
@@ -435,16 +442,56 @@ class TestClosedFormTables:
                 assert np.all(np.abs(g - r) <= 1e-13 * np.abs(table).max()), (name, i)
 
     def test_set_up_memory_does_not_grow_with_the_factor(self):
+        # no subsample field and no (H, factor*W+1) table: the set-up peaks
+        # at a few times the two O(H*W) tables the evaluator keeps
         img = ps.Image(np.random.default_rng(0).uniform(0, 1, (256, 256)), ps.GRAY)
-        peaks = {}
+        peaks, kept = {}, {}
         for factor in (2, 16):
             tracemalloc.start()
             try:
-                ps.SupersampledEvaluator(img, factor)
+                ev = ps.SupersampledEvaluator(img, factor)
                 peaks[factor] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
+            kept[factor] = ev._prefix1.nbytes + ev._prefix2.nbytes
         assert peaks[16] <= 1.5 * peaks[2], peaks
+        for factor in peaks:
+            assert peaks[factor] <= 3 * kept[factor], (factor, peaks, kept)
+
+
+class TestSetUp:
+    """The evaluator's set-up: the backend's tables and frame totals."""
+
+    @pytest.mark.parametrize("factor", [1, 16])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_no_crossing_pass(self, monkeypatch, channels, factor):
+        # the frame totals are read from the tables' last column, not
+        # reduced from a crossing pass around the frame
+        calls = []
+        crossings = polyseg.backend._crossings
+
+        def counting(*args):
+            calls.append(args)
+            return crossings(*args)
+
+        monkeypatch.setattr(polyseg.backend, "_crossings", counting)
+        h, w = 37, 53
+        data = np.random.default_rng(channels).uniform(0, 1, (h, w, channels))
+        ev = ps.SupersampledEvaluator(ps.Image(data, ps.GRAY if channels == 1 else ps.RGB), factor)
+        assert len(calls) == 0
+        assert ev._total_sub == factor * factor * h * w
+        # the same bits as a crossing pass around a ring outside the frame
+        ring = polyseg.backend.ss_stats(
+            ev._prefix1, ev._prefix2, [-1, w, w, -1], [-1, -1, h, h], factor
+        )
+        for got, want in zip((ev._total_sub, ev._s1_all, ev._s2_all), ring):
+            assert np.array_equal(got, want)
+        if factor == 1:  # the samples are the pixels: the totals are their sums
+            flat = data.reshape(-1, channels)
+            sums = (flat.sum(axis=0), (flat * flat).sum(axis=0))
+            for got, want in zip((ev._s1_all, ev._s2_all), sums):
+                assert got.shape == (channels,)
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
 # one evaluator per (channels, factor) on the FIELDS images
@@ -518,6 +565,16 @@ class TestMovedStats:
                     a = getattr(got, f"{name}_{side}")[j]
                     b = getattr(ref, f"{name}_{side}")
                     assert np.all(np.abs(a - b) <= 1e-12 * total), (name, side)
+
+    @pytest.mark.parametrize("index", [-1, 8])
+    def test_index_out_of_range(self, index):
+        # -1 would read vertex 7's edges from the wrong end and 8 the first
+        # new edge: both give wrong stats without an error
+        data = np.random.default_rng(0).uniform(0, 1, (32, 32))
+        ev = ps.SupersampledEvaluator(ps.Image(data, ps.GRAY), 1)
+        p = ps.init_circle((16, 16), 10, 8)
+        with pytest.raises(ValueError, match="vertex indices"):
+            ev.moved_stats(p, [index], p.points[7:8] + [1.5, 0.5])
 
     @pytest.mark.parametrize("factor", [1, 16])
     def test_one_crossing_pass_per_call(self, monkeypatch, factor):
