@@ -415,6 +415,20 @@ class TestBlendedRowsMatchFullField:
                 b = getattr(ref, f"{name}_{side}")
                 assert np.all(np.abs(a - b) <= 1e-14 * total), (name, side)
 
+    def test_set_up_memory_is_a_few_pixel_row_tables(self):
+        # no subsample field and no (H, factor*W+1) table: the set-up peaks
+        # at a few times the two O(H*W) tables the evaluator keeps
+        img = ps.Image(np.random.default_rng(0).uniform(0, 1, (256, 256)), ps.GRAY)
+        for factor in (2, 16):
+            tracemalloc.start()
+            try:
+                ev = ps.SupersampledEvaluator(img, factor)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            kept = ev._prefix1.nbytes + ev._prefix2.nbytes
+            assert peak <= 3 * kept, (factor, peak, kept)
+
 
 class TestClosedFormTables:
     """Closed-form pixel-row tables against the former factor-wide tables."""
@@ -442,21 +456,16 @@ class TestClosedFormTables:
                 assert np.all(np.abs(g - r) <= 1e-13 * np.abs(table).max()), (name, i)
 
     def test_set_up_memory_does_not_grow_with_the_factor(self):
-        # no subsample field and no (H, factor*W+1) table: the set-up peaks
-        # at a few times the two O(H*W) tables the evaluator keeps
         img = ps.Image(np.random.default_rng(0).uniform(0, 1, (256, 256)), ps.GRAY)
-        peaks, kept = {}, {}
+        peaks = {}
         for factor in (2, 16):
             tracemalloc.start()
             try:
-                ev = ps.SupersampledEvaluator(img, factor)
+                ps.SupersampledEvaluator(img, factor)
                 peaks[factor] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            kept[factor] = ev._prefix1.nbytes + ev._prefix2.nbytes
         assert peaks[16] <= 1.5 * peaks[2], peaks
-        for factor in peaks:
-            assert peaks[factor] <= 3 * kept[factor], (factor, peaks, kept)
 
 
 class TestSetUp:
