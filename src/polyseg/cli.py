@@ -38,7 +38,7 @@ from .imageio import (
     write_pnm,
 )
 from .color import srgb_to_lab
-from .raster import SupersampledEvaluator
+from .raster import SupersampledEvaluator, rasterize_mask
 from .svgout import data_uri, energy_svg, overlay_svg
 
 
@@ -167,7 +167,8 @@ def _cmd_segment(args) -> int:
 
     write_trace_csv(result.trace, os.path.join(args.out, "trace.csv"))
     write_polygon(result.final_polygon, os.path.join(args.out, "final_polygon.txt"))
-    write_mask(result.final_mask, os.path.join(args.out, "final_mask.pgm"))
+    write_mask(rasterize_mask(result.final_polygon, work.width, work.height),
+               os.path.join(args.out, "final_mask.pgm"))
 
     color_mode = args.mode in ("rgb", "lab")
     init_color, final_color = ("blue", "red") if color_mode else ("green", "yellow")
@@ -186,7 +187,7 @@ def _cmd_segment(args) -> int:
     status = "converged" if result.converged else "max-iters"
     print(
         f"polyseg: {status} after {result.iterations_run} iterations, "
-        f"E={result.trace[-1].total:.6g}, simple={result.final_simple}"
+        f"E={result.trace[-1].total:.6g}, simple={is_simple(result.final_polygon)}"
     )
     # vertices, not the mask: under the top-left rule the mask never sets
     # the last row or column

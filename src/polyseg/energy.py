@@ -92,7 +92,7 @@ def region_shape_gradient(img: Image, stats: RegionStats, points: np.ndarray) ->
     summed over channels.  Returns one value per point.
     """
     pts = np.asarray(points, dtype=np.float64)
-    f = bilinear_sample(img.data, pts[:, 0], pts[:, 1])
+    f = bilinear_sample(img, pts[:, 0], pts[:, 1])
     din = f - stats.mu_in[None, :]
     dout = f - stats.mu_out[None, :]
     g_in = (din * din - stats.var_in[None, :]) / stats.area_in

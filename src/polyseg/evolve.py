@@ -44,7 +44,7 @@ from .geometry import (
     resample_uniform,
 )
 from .image import Image
-from .raster import SupersampledEvaluator, rasterize_mask
+from .raster import SupersampledEvaluator
 
 # Abort threshold: below this many inside pixels the region statistics are
 # noise-dominated and the contour is considered collapsed.
@@ -120,23 +120,18 @@ class SegmentationResult:
 
     ``trace`` has one row per finished iteration (``iterations_run`` is its
     length) and ``converged`` says whether the energy test stopped the run.
-    ``final_mask`` holds the pixels of ``final_polygon`` under the even-odd
-    rule (all zero in a ``partial``).
+    The pixel mask of ``final_polygon`` is ``rasterize_mask``'s, and its
+    simplicity ``is_simple``'s.
 
     ``flagged_steps`` counts the steps taken although their fourth halving
-    still self-intersected, and ``final_simple`` says whether
-    ``final_polygon`` is simple.  The loop holds a non-simple polygon after
-    a flagged step or, rarely, after a resample that cuts across the
-    contour; such a resample is not counted in ``flagged_steps``.  Region
-    statistics of a non-simple polygon count each pixel with its winding
-    number, so where it crosses itself they can differ from ``final_mask``.
+    still self-intersected.  The loop holds a non-simple polygon after a
+    flagged step or, rarely, after a resample that cuts across the contour;
+    such a resample is not counted in ``flagged_steps``.
     """
 
     final_polygon: Polygon
-    final_mask: np.ndarray
     trace: list[TraceRow]
     converged: bool
-    final_simple: bool = True
     flagged_steps: int = 0
 
     @property
@@ -212,9 +207,7 @@ def run(img: Image, p0: Polygon, cfg: EvolveConfig, callback=None) -> Segmentati
     clean disk until it covers most of the frame (acceptance test 12).
     ``callback(k, polygon)``, when given, is invoked with each pre-step
     polygon.  A flagged step (or, rarely, a resample) can leave the polygon
-    self-intersecting; its region statistics then count each pixel with
-    its winding number, while the final mask is even-odd (see
-    :class:`SegmentationResult`).
+    self-intersecting (see :class:`SegmentationResult`).
 
     Raises
     ------
@@ -226,7 +219,7 @@ def run(img: Image, p0: Polygon, cfg: EvolveConfig, callback=None) -> Segmentati
         collapses below 16 inside pixels, leaves the frame, or covers it;
         ``DegeneratePolygon`` if a step leaves fewer than 3 vertices.
         ``partial`` carries the result so far, with the last polygon the
-        loop held and an empty mask.
+        loop held.
     """
     p = ensure_ccw(p0)
     if not is_simple(p):
@@ -270,28 +263,10 @@ def run(img: Image, p0: Polygon, cfg: EvolveConfig, callback=None) -> Segmentati
                 break
             if (k + 1) % cfg.resample_every == 0:
                 p = resample_uniform(p, cfg.n_vertices)
-        # the prefix tables are not needed for the mask: freed first, they
-        # are never resident together with the fill's frame-sized buffers
-        del ev
-        final_mask = rasterize_mask(p, w, h)
     except PolysegError as exc:
-        exc.partial = SegmentationResult(
-            final_polygon=p,
-            final_mask=np.zeros((h, w), dtype=bool),
-            trace=trace,
-            converged=False,
-            final_simple=is_simple(p),
-            flagged_steps=flagged,
-        )
+        exc.partial = SegmentationResult(p, trace, False, flagged)
         raise
-    return SegmentationResult(
-        final_polygon=p,
-        final_mask=final_mask,
-        trace=trace,
-        converged=did_converge,
-        final_simple=is_simple(p),
-        flagged_steps=flagged,
-    )
+    return SegmentationResult(p, trace, did_converge, flagged)
 
 
 def write_trace_csv(trace: list[TraceRow], path) -> None:

@@ -66,15 +66,13 @@ def _cell(u, n: int):
     return i0, np.minimum(i0 + 1, n - 1), u - i0
 
 
-def bilinear_sample(data: np.ndarray, xs, ys) -> np.ndarray:
-    """Sample (H, W, C) data at continuous points, clamped at the borders.
+def bilinear_sample(img: Image, xs, ys) -> np.ndarray:
+    """Sample the image at continuous points, clamped at the borders.
 
     Returns an (npoints, C) array.  Coordinates outside the pixel-center
     frame [0, W-1] x [0, H-1] are clamped onto it before interpolation.
     """
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim == 2:
-        data = data[:, :, None]
+    data = img.data
     h, w = data.shape[:2]
     x0, x1, tx = _cell(np.atleast_1d(np.asarray(xs, dtype=np.float64)), w)
     y0, y1, ty = _cell(np.atleast_1d(np.asarray(ys, dtype=np.float64)), h)

@@ -18,7 +18,8 @@ rows, and each copy of a polygon with one vertex moved costs only the
 crossings of its two new edges.  A :class:`RegionStats` derives the
 region means and variances itself and is the one place that rejects an
 empty side.  :func:`rasterize_mask` selects the same pixels as an
-explicit mask; it serves the final mask of a run.
+explicit mask; it gives the mask of a run's final polygon, which
+``polyseg segment`` writes.
 """
 
 import numbers
@@ -81,7 +82,9 @@ class RegionStats:
 def rasterize_mask(p: Polygon, width: int, height: int) -> np.ndarray:
     """Scanline even-odd mask of the polygon over a width x height grid.
 
-    Returns an (height, width) boolean array.
+    Returns an (height, width) boolean array.  Where a polygon crosses
+    itself the mask can differ from its region statistics, which count
+    each pixel with its winding number (see the module docstring).
 
     Raises
     ------
@@ -128,7 +131,9 @@ class SupersampledEvaluator:
     FACTORS = (1, 2, 4, 8, 16)
 
     def __init__(self, img: Image, factor: int):
-        if not isinstance(factor, numbers.Integral) or factor not in self.FACTORS:
+        # a bool is an Integral equal to 0 or 1
+        if (not isinstance(factor, numbers.Integral) or isinstance(factor, bool)
+                or factor not in self.FACTORS):
             raise ValueError(f"factor must be one of {self.FACTORS}")
         self.factor = factor
         self._prefix1, self._prefix2 = tables = backend.cell_tables(img.data, factor)
@@ -161,13 +166,17 @@ class SupersampledEvaluator:
         Raises
         ------
         ValueError
-            If an index lies outside [0, n) for p's n vertices.
+            If an index is not an integer (a float or bool array would be
+            truncated or cast), or lies outside [0, n) for p's n vertices.
         EmptyRegion
             If any move leaves either side without a sample.
         """
         pts = p.points
         n = len(pts)
-        index = np.asarray(index, dtype=np.intp)
+        index = np.asarray(index)
+        if index.size and index.dtype.kind not in "iu":
+            raise ValueError(f"vertex indices must be integers, got {index.dtype}")
+        index = index.astype(np.intp)
         if np.any((index < 0) | (index >= n)):
             raise ValueError(f"vertex indices must lie in [0, {n})")
         points = np.asarray(points, dtype=np.float64).reshape(-1, 2)

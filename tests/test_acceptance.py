@@ -263,7 +263,7 @@ def test_11_narrow_slot():
     img = ps.Image(np.where(truth, 0.9, 0.1), ps.GRAY)
     p0 = ps.init_circle((127.5, 127.5), 125, 200)
     res = ps.run(img, p0, ps.EvolveConfig(n_vertices=200, eta=5e-5, max_iters=630))
-    mask = res.final_mask
+    mask = ps.rasterize_mask(res.final_polygon, 256, 256)
     iou = (mask & truth).sum() / (mask | truth).sum()
     in_slot = int((mask & slot).sum())
     elapsed = time.time() - t0
@@ -287,8 +287,9 @@ def test_12_start_must_hold_more_than_half_object():
     # concentric start circles that hold the share p of the disk
     held, lost = (ps.run(img, ps.init_circle((63.5, 63.5), 25 / np.sqrt(p), 100), cfg)
                   for p in (0.55, 0.45))
-    iou = (held.final_mask & disk).sum() / (held.final_mask | disk).sum()
-    grown = int(lost.final_mask.sum())
+    held_mask, lost_mask = (ps.rasterize_mask(r.final_polygon, 128, 128) for r in (held, lost))
+    iou = (held_mask & disk).sum() / (held_mask | disk).sum()
+    grown = int(lost_mask.sum())
     elapsed = time.time() - t0
     assert held.converged
     assert iou >= 0.98

@@ -61,7 +61,7 @@ def test_upsample_matches_bilinear_sample():
     xs = (sc + 0.5) / factor - 0.5
     for r in (0, 5, 47):
         y = (sr[r] + 0.5) / factor - 0.5
-        ref = ps.bilinear_sample(img.data, xs, np.full(len(xs), y))
+        ref = ps.bilinear_sample(img, xs, np.full(len(xs), y))
         assert np.abs(up[r, :, 0] - ref[:, 0]).max() < 1e-12
 
 

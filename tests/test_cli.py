@@ -430,6 +430,14 @@ class TestSegment:
         ])
         assert rc == 1
 
+    def test_rgb_mode_requires_color(self, disk_pgm, tmp_path, capsys):
+        rc = main([
+            "segment", "--input", str(disk_pgm), "--mode", "rgb",
+            "--init-circle", "60,60,40", "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 1
+        assert "--mode rgb requires a PPM (color) input" in capsys.readouterr().err
+
     def test_rgb_mode_runs(self, tmp_path):
         rgb = np.full((80, 80, 3), 0.2)
         rgb[20:60, 20:60, 0] = 0.9

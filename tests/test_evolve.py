@@ -147,7 +147,7 @@ class TestRun:
         res = ps.run(disk_clean, p0, cfg)
         hd = hausdorff_to_circle(res.final_polygon, (100, 100), 60)
         assert hd <= 2.0
-        assert res.final_simple
+        assert ps.is_simple(res.final_polygon)
         # residual data terms are at the rasterization-band level; the
         # equilibrium sits a fraction of a pixel inside the value edge
         last = res.trace[-1]
@@ -223,7 +223,7 @@ class TestRun:
     def test_guard_called_once_per_candidate_step(self, monkeypatch):
         # a guard that accepts the start and rejects every step: each
         # iteration checks the step and its four halvings once each, then
-        # keeps the last one flagged
+        # keeps the last one flagged; the result is not checked again
         calls = []
 
         def guard(p):
@@ -235,8 +235,29 @@ class TestRun:
         cfg = ps.EvolveConfig(n_vertices=40, eta=5e-4, max_iters=3)
         res = ps.run(img, ps.init_circle((32, 32), 20, 40), cfg)
         assert res.flagged_steps == 3
-        assert not res.final_simple
-        assert len(calls) == 1 + 3 * 5 + 1  # start, five candidates per iteration, final
+        assert len(calls) == 1 + 3 * 5  # start, five candidates per iteration
+
+    def test_no_mask_fill_and_one_guard_per_candidate(self, monkeypatch):
+        # the loop works on the polygon only: its mask and its simplicity
+        # are derived by whoever needs them, after the run
+        calls = {"is_simple": 0, "step": 0, "fill_mask": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for mod, name in ((polyseg.evolve, "is_simple"), (polyseg.evolve, "step"),
+                          (polyseg.backend, "fill_mask")):
+            monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
+        img = ps.synth_shape("disk", 64, 64, 0.9, 0.1, {"cx": 32, "cy": 32, "r": 14})
+        cfg = ps.EvolveConfig(n_vertices=40, eta=5e-4, max_iters=7)
+        res = ps.run(img, ps.init_circle((32, 32), 20, 40), cfg)
+        assert res.iterations_run == 7
+        assert calls["step"] >= 7
+        assert calls["is_simple"] == 1 + calls["step"]  # the start, then each candidate
+        assert calls["fill_mask"] == 0
 
     def test_means_once_and_no_weights_per_iteration(self, monkeypatch):
         # the region statistics, and with them the means, once per iteration
@@ -275,13 +296,6 @@ class TestRun:
         res = ps.run(disk_clean, p0, cfg)
         iters = [r.iter for r in res.trace]
         assert iters == sorted(set(iters))
-
-    def test_mask_consistent_with_final_polygon(self, disk_clean):
-        p0 = ps.init_circle((100, 100), 70, 50)
-        cfg = ps.EvolveConfig(n_vertices=50, eta=5e-4, max_iters=25)
-        res = ps.run(disk_clean, p0, cfg)
-        expect = ps.rasterize_mask(res.final_polygon, 200, 200)
-        assert np.array_equal(res.final_mask, expect)
 
     def test_callback_sees_every_iteration(self, disk_clean):
         p0 = ps.init_circle((100, 100), 70, 40)
@@ -336,7 +350,8 @@ class TestRun:
         c = (n - 1) / 2.0
         ys, xs = np.ogrid[0:n, 0:n]
         truth = (xs - c) ** 2 + (ys - c) ** 2 < (0.30 * n) ** 2
-        iou = (truth & res.final_mask).sum() / (truth | res.final_mask).sum()
+        mask = ps.rasterize_mask(res.final_polygon, n, n)
+        iou = (truth & mask).sum() / (truth | mask).sum()
         assert iou >= 0.998
 
     def test_pure_curvature_flow_circle_stays_circular(self):
@@ -422,7 +437,6 @@ class TestRunProperty:
             return
         assert np.isfinite(res.final_polygon.points).all()
         assert _finite_trace(res.trace)
-        assert res.final_simple == ps.is_simple(res.final_polygon)
 
 
 class TestTraceCsv:

@@ -150,6 +150,10 @@ class TestPolygonValidation:
         with pytest.raises(ps.DegeneratePolygon):
             ps.Polygon([(0, 0), (1, np.nan), (1, 1)])
 
+    def test_not_n_by_2(self):
+        with pytest.raises(ps.DegeneratePolygon, match=r"\(n, 2\)"):
+            ps.Polygon(np.zeros((4, 3)))
+
     def test_min_edge_is_strict(self):
         with pytest.raises(ps.DegeneratePolygon):
             ps.Polygon([(0, 0), (MIN_EDGE_LEN * 0.5, 0), (1, 1)])
@@ -211,6 +215,12 @@ class TestAreaPerimeter:
 
 
 class TestNormals:
+    def test_coincident_neighbours(self):
+        # vertex 1's neighbours are both (0, 0): no tangent
+        p = ps.Polygon([(0, 0), (1, 0), (0, 0), (0, 1)])
+        with pytest.raises(ps.DegeneratePolygon, match="neighbors of a vertex coincide"):
+            ps.outward_normals(p)
+
     def test_regular_octagon_radial(self):
         p = ps.init_circle((0, 0), 3.0, 8)
         n = ps.outward_normals(p)
@@ -456,6 +466,12 @@ class TestPolygonIo:
         path = tmp_path / "bad.txt"
         path.write_text("0 0\n1\n2 2\n")
         with pytest.raises(ps.ParseError):
+            ps.read_polygon(path)
+
+    def test_bad_coordinate(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("0 0\n1 x\n2 2\n")
+        with pytest.raises(ps.ParseError, match="bad.txt:2: bad coordinate"):
             ps.read_polygon(path)
 
     def test_too_few(self, tmp_path):

@@ -49,6 +49,19 @@ class TestReadPnm:
         with pytest.raises(ps.ParseError):
             ps.read_pnm(path)
 
+    @pytest.mark.parametrize("content, match", [
+        (b"P5 4", "unexpected end of PNM header"),
+        (b"P5\n0 4\n255\n", "non-positive PNM dimensions"),
+        (b"P5\n1 1\n0\n\x00", "maxval 0 out of range"),
+        (b"P5\n1 1\n65536\n\x00\x00", "maxval 65536 out of range"),
+        (b"P5\n1 1\n255", "missing separator before binary payload"),
+    ], ids=["ends-after-width", "width-0", "maxval-0", "maxval-65536", "ends-after-maxval"])
+    def test_bad_header(self, tmp_path, content, match):
+        path = tmp_path / "a.pgm"
+        path.write_bytes(content)
+        with pytest.raises(ps.ParseError, match=match):
+            ps.read_pnm(path)
+
     @pytest.mark.parametrize("content", [
         b"P5\n2 1\n15\n\x0f\xc8",  # byte 200 above maxval 15
         b"P5\n1 1\n1000\n" + (1001).to_bytes(2, "big"),
@@ -262,6 +275,18 @@ class TestSynthShape:
     def test_missing_params(self):
         with pytest.raises(ps.BadParams):
             ps.synth_shape("disk", 64, 64, 0.9, 0.1, {"cx": 32})
+
+    @pytest.mark.parametrize("kind, width, params, match", [
+        ("disk", 0, {"cx": 32, "cy": 32, "r": 8}, "image dimensions must be positive"),
+        ("disk", 64, {"cx": 32, "cy": 32, "r": 0}, "radius must be positive"),
+        ("rectangle", 64, {"x0": 10, "y0": 10, "x1": 64, "y1": 20},
+         "rectangle exceeds image bounds"),
+        ("annulus", 64, {"cx": 32, "cy": 32, "r_inner": 10, "r_outer": 10},
+         "annulus needs 0 < r_inner < r_outer"),
+    ], ids=["width-0", "radius-0", "rectangle-past-frame", "annulus-inner-not-below-outer"])
+    def test_bad_geometry(self, kind, width, params, match):
+        with pytest.raises(ps.BadParams, match=match):
+            ps.synth_shape(kind, width, 64, 0.9, 0.1, params)
 
     @pytest.mark.parametrize("kind", list(SHAPES))
     def test_missing_params_are_the_table_entry(self, kind):

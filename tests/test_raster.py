@@ -69,6 +69,12 @@ class TestRasterizeMask:
         assert m.sum() == 9
         assert m[1:4, 1:4].all()
 
+    @pytest.mark.parametrize("width, height", [(0, 5), (5, 0)])
+    def test_empty_grid(self, width, height):
+        p = ps.Polygon([(0.5, 0.5), (3.5, 0.5), (3.5, 3.5)])
+        with pytest.raises(ValueError, match="mask dimensions must be positive"):
+            ps.rasterize_mask(p, width, height)
+
     def test_outside_frame_is_empty(self):
         p = ps.Polygon([(100, 100), (110, 100), (105, 110)])
         with pytest.raises(ps.EmptyRegion):
@@ -230,9 +236,10 @@ class TestSupersampled:
         with pytest.raises(ValueError):
             ps.SupersampledEvaluator(img, 3)
 
-    @pytest.mark.parametrize("factor", [16.0, 2.5])
+    @pytest.mark.parametrize("factor", [16.0, 2.5, True, False])
     def test_non_integer_factor(self, factor):
-        # 16.0 == 16 passes a membership test; only integers are factors
+        # 16.0 == 16 and True == 1 pass a membership test; only integers
+        # that are not bools are factors
         img = ps.Image(np.zeros((8, 8)), ps.GRAY)
         with pytest.raises(ValueError, match="factor must be one of"):
             ps.SupersampledEvaluator(img, factor)
@@ -249,6 +256,16 @@ class TestSupersampled:
         # rejected on construction, not later as an EmptyRegion or IndexError
         with pytest.raises(ValueError, match="one row and one column"):
             ps.Image(np.zeros(shape), ps.GRAY if len(shape) == 2 else ps.RGB)
+
+    @pytest.mark.parametrize("data, colorspace, match", [
+        (np.zeros(4), ps.GRAY, r"must be \(H, W\) or \(H, W, C\)"),
+        (np.zeros((2, 2, 1, 1)), ps.GRAY, r"must be \(H, W\) or \(H, W, C\)"),
+        (np.zeros((2, 2)), "hsv", "unknown colorspace 'hsv'"),
+        (np.array([[0.5, np.nan]]), ps.GRAY, "must be finite"),
+    ], ids=["1d", "4d", "unknown-colorspace", "nan"])
+    def test_malformed_image(self, data, colorspace, match):
+        with pytest.raises(ValueError, match=match):
+            ps.Image(data, colorspace)
 
     def test_sliver_between_sample_rows_is_empty(self):
         # factor-16 sample rows sit at y = 10.03125 and 10.09375: the sliver
@@ -584,6 +601,29 @@ class TestMovedStats:
         p = ps.init_circle((16, 16), 10, 8)
         with pytest.raises(ValueError, match="vertex indices"):
             ev.moved_stats(p, [index], p.points[7:8] + [1.5, 0.5])
+
+    @pytest.mark.parametrize("index", [[1.7], [True]], ids=["float", "bool"])
+    def test_non_integer_index(self, index):
+        # 1.7 would be truncated and True cast to vertex 1: both would give
+        # the stats of moving vertex 1 without an error
+        data = np.random.default_rng(0).uniform(0, 1, (32, 32))
+        ev = ps.SupersampledEvaluator(ps.Image(data, ps.GRAY), 1)
+        p = ps.init_circle((16, 16), 10, 8)
+        with pytest.raises(ValueError, match="vertex indices must be integers"):
+            ev.moved_stats(p, index, p.points[1:2] + [1.5, 0.5])
+
+    def test_numpy_integer_and_empty_index(self):
+        data = np.random.default_rng(0).uniform(0, 1, (32, 32))
+        ev = ps.SupersampledEvaluator(ps.Image(data, ps.GRAY), 1)
+        p = ps.init_circle((16, 16), 10, 8)
+        moved = p.points[[1, 6]] + [[1.5, 0.5], [-2.0, 1.0]]
+        ref = ev.moved_stats(p, [1, 6], moved)
+        for index in (np.array([1, 6], dtype=np.int32), np.array([1, 6], dtype=np.uint8)):
+            got = ev.moved_stats(p, index, moved)
+            assert np.array_equal(got.area_in, ref.area_in)
+            assert np.array_equal(got.s1_in, ref.s1_in)
+            assert np.array_equal(got.s2_out, ref.s2_out)
+        assert ev.moved_stats(p, [], np.empty((0, 2))).area_in.shape == (0,)
 
     @pytest.mark.parametrize("factor", [1, 16])
     def test_one_crossing_pass_per_call(self, monkeypatch, factor):
