@@ -63,11 +63,11 @@ def _crossings(x1, y1, x2, y2, factor: int, hs: int, ws: int):
     float64 and need not form a ring.  The sample grid has hs x ws centers;
     sample (sr, sc) sits at ((sc+0.5)/factor - 0.5, (sr+0.5)/factor - 0.5)
     in pixel coordinates, which is (sc, sr) itself at factor 1.  Returns
-    (rows, cols, signs, edge) as int64 arrays, one entry per (edge,
-    scanline) crossing, grouped by edge in edge order; a sign is +1 where
-    the edge runs toward larger y and -1 otherwise.  Under the half-open
-    rule a horizontal edge spans zero rows, so it is never expanded and its
-    zero height is never a divisor.
+    (rows, cols, signs, edge), one entry per (edge, scanline) crossing,
+    grouped by edge in edge order: int64 arrays but for the float signs,
+    +1.0 where the edge runs toward larger y and -1.0 otherwise.  Under
+    the half-open rule a horizontal edge spans zero rows, so it is never
+    expanded and its zero height is never a divisor.
     """
     f = float(factor)
 
@@ -83,14 +83,15 @@ def _crossings(x1, y1, x2, y2, factor: int, hs: int, ws: int):
     r0 = np.maximum(np.ceil(to_sub(np.minimum(y1, y2))), 0.0)
     r1 = np.minimum(np.ceil(to_sub(np.maximum(y1, y2))) - 1.0, hs - 1.0)
     counts = np.maximum(r1 - r0 + 1.0, 0.0).astype(np.int64)
-    total = int(counts.sum())
-    eidx = np.repeat(np.arange(x1.size), counts)
-    starts = np.cumsum(counts) - counts
-    rows = r0[eidx].astype(np.int64) + (np.arange(total) - np.repeat(starts, counts))
-    x1, y1, x2, y2 = x1[eidx], y1[eidx], x2[eidx], y2[eidx]
-    xc = x1 + (from_sub(rows) - y1) * (x2 - x1) / (y2 - y1)
-    cols = np.clip(np.ceil(to_sub(xc)), 0, ws).astype(np.int64)
-    return rows, cols, np.where(y2 > y1, 1, -1), eidx
+    eidx = np.arange(x1.size).repeat(counts)
+    # a crossing's row: its edge's first row plus its place in the edge's run
+    rows = np.arange(eidx.size) + (r0 - (counts.cumsum() - counts))[eidx].astype(np.int64)
+    # each edge's run and rise, gathered once per crossing; an edge with a
+    # crossing is not horizontal, so the sign of its rise is +-1
+    dx, dy = x2 - x1, y2 - y1
+    xc = x1[eidx] + (from_sub(rows) - y1[eidx]) * dx[eidx] / dy[eidx]
+    cols = np.minimum(ws, np.maximum(0, np.ceil(to_sub(xc)))).astype(np.int64)
+    return rows, cols, np.sign(dy)[eidx], eidx
 
 
 def fill_mask(xs, ys, width: int, height: int) -> np.ndarray:
@@ -257,15 +258,13 @@ def edge_sums(prefix1: np.ndarray, prefix2: np.ndarray, x1, y1, x2, y2, factor: 
     c = prefix1.shape[-1]
     m = len(x1)
     rows, cols, sign, edge = _crossings(x1, y1, x2, y2, factor, h * factor, factor * (wcols - 1))
-    count = np.bincount(edge, weights=sign * cols, minlength=m)
-    slot = (edge[:, None] * c + np.arange(c)).ravel()
-    sign = sign[:, None]
-
-    def per_edge(values):
-        return np.bincount(slot, weights=(sign * values).ravel(), minlength=m * c).reshape(m, c)
-
     v1, v2 = _crossing_values(prefix1, prefix2, rows, cols, factor)
-    return count, per_edge(v1), per_edge(v2)
+    # column j of an edge's sums adds value j of its crossings under their
+    # signs, in crossing order: the col, then f and f^2 sums per channel
+    sums = np.empty((m, 1 + 2 * c))
+    for j, values in enumerate((cols, *v1.T, *v2.T)):
+        sums[:, j] = np.bincount(edge, weights=sign * values, minlength=m)
+    return sums[:, 0], sums[:, 1 : 1 + c], sums[:, 1 + c :]
 
 
 def ss_stats(prefix1: np.ndarray, prefix2: np.ndarray, xs, ys, factor: int):

@@ -83,7 +83,9 @@ class EvolveConfig:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         for name in ("n_vertices", "max_iters", "resample_every", "window"):
-            if not isinstance(getattr(self, name), numbers.Integral):
+            value = getattr(self, name)
+            # a bool is an Integral equal to 0 or 1
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer")
         if self.n_vertices < 3:
             raise ValueError("n_vertices must be at least 3")
@@ -171,10 +173,14 @@ def step(p: Polygon, g: GradientField, dt: float, bounds) -> tuple[Polygon, floa
     """
     w, h = bounds
     pts = p.points - dt * g.speeds[:, None] * g.normals
-    pts[:, 0] = np.clip(pts[:, 0], 0.0, w - 1.0)
-    pts[:, 1] = np.clip(pts[:, 1], 0.0, h - 1.0)
+    # bound first, as np.clip orders them: a -0.0 at the bound 0.0 stays -0.0
+    pts = np.minimum((w - 1.0, h - 1.0), np.maximum(0.0, pts))
     disp = pts - p.points
-    max_disp = float(np.max(np.hypot(disp[:, 0], disp[:, 1])))
+    max_disp = float(np.hypot(disp[:, 0], disp[:, 1]).max())
+    try:  # Polygon measures the edges: only one it rejects needs the drop
+        return Polygon(pts), max_disp
+    except DegeneratePolygon:
+        pass
     gap = np.concatenate((pts[1:], pts[:1])) - pts
     return Polygon(pts[np.hypot(gap[:, 0], gap[:, 1]) > MIN_EDGE_LEN]), max_disp
 
@@ -189,9 +195,8 @@ def converged(trace: list[TraceRow], e_thr: float, window: int) -> bool:
     """
     if len(trace) < 2 * window:
         return False
-    totals = [row.total for row in trace[-2 * window :]]
-    prev = float(np.mean(totals[:window]))
-    last = float(np.mean(totals[window:]))
+    totals = np.fromiter((row.total for row in trace[-2 * window :]), np.float64, 2 * window)
+    prev, last = totals.reshape(2, window).mean(axis=1).tolist()
     return abs(last - prev) / max(abs(prev), 1e-12) < e_thr
 
 
@@ -241,7 +246,7 @@ def run(img: Image, p0: Polygon, cfg: EvolveConfig, callback=None) -> Segmentati
                 callback(k, p)
 
             g = _gradient_from_stats(img, p, cfg.eta, stats)
-            max_speed = float(np.max(np.abs(g.speeds)))
+            max_speed = float(np.abs(g.speeds).max())
             dt = min(cfg.dt_cap, MAX_STEP_PX / max_speed) if max_speed > 0.0 else cfg.dt_cap
 
             # topology safeguard: halve dt while the step self-intersects, at

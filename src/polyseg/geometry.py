@@ -48,11 +48,11 @@ class Polygon:
             raise DegeneratePolygon("polygon requires an (n, 2) vertex array")
         if pts.shape[0] < 3:
             raise DegeneratePolygon("polygon requires at least 3 vertices")
-        if not np.all(np.isfinite(pts)):
+        if not np.isfinite(pts).all():
             raise DegeneratePolygon("polygon vertices must be finite")
         edges = np.concatenate((pts[1:], pts[:1])) - pts
         lengths = np.hypot(edges[:, 0], edges[:, 1])
-        if np.min(lengths) <= MIN_EDGE_LEN:
+        if lengths.min() <= MIN_EDGE_LEN:
             raise DegeneratePolygon("consecutive vertices coincide")
         for arr in (pts, edges, lengths):
             arr.flags.writeable = False
@@ -74,7 +74,7 @@ def polygon_area(p: Polygon) -> float:
 
 def polygon_perimeter(p: Polygon) -> float:
     """Total edge length of the closed polygon, closing edge included."""
-    return float(np.sum(p.lengths))
+    return float(p.lengths.sum())
 
 
 def ensure_ccw(p: Polygon) -> Polygon:
@@ -114,9 +114,9 @@ def outward_normals(p: Polygon) -> np.ndarray:
     pts = p.points
     t = np.concatenate((pts[1:], pts[:1])) - np.concatenate((pts[-1:], pts[:-1]))
     norm = np.hypot(t[:, 0], t[:, 1])
-    if np.min(norm) < 1e-12:
+    if norm.min() < 1e-12:
         raise DegeneratePolygon("neighbors of a vertex coincide")
-    n = np.empty_like(t)
+    n = np.empty(t.shape)
     n[:, 0] = t[:, 1] / norm
     n[:, 1] = -t[:, 0] / norm
     return n
@@ -145,8 +145,8 @@ def discrete_curvature(p: Polygon) -> np.ndarray:
     chord = e1 + e2
     cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
     denom = np.concatenate((l2[-1:], l2[:-1])) * l2 * np.hypot(chord[:, 0], chord[:, 1])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kappa = np.where(denom > 0.0, 2.0 * cross / denom, 0.0)
+    kappa = np.zeros(denom.shape)
+    np.divide(2.0 * cross, denom, out=kappa, where=denom > 0.0)
     return kappa
 
 
@@ -181,7 +181,8 @@ def is_simple(p: Polygon) -> bool:
     ends, and pairs whose y-ranges are disjoint or whose edges are adjacent
     (the closing edge and edge 0 included) are dropped.  Both box
     comparisons are inclusive, so boxes that only touch stay candidates.
-    A triangle has only adjacent pairs, so it is simple by construction.
+    A triangle has only adjacent pairs, so it is simple by construction;
+    any polygon without a candidate pair is simple without the narrow phase.
 
     The narrow phase evaluates ``cross(v_j, v_{j+1}, v_k)``, the side of
     edge j's line that vertex k lies on, for the four vertex-against-edge
@@ -204,16 +205,20 @@ def is_simple(p: Polygon) -> bool:
     x, y = pts[:, 0], pts[:, 1]
     nxt = np.concatenate((pts[1:], pts[:1]))
     lo, hi = np.minimum(pts, nxt), np.maximum(pts, nxt)
-    order = np.argsort(lo[:, 0], kind="stable")
-    ends = np.searchsorted(lo[order, 0], hi[order, 0], side="right")
-    # sorted edge s pairs with sorted edges s+1 .. ends[s]-1
+    (lox, loy), (hix, hiy) = lo.T, hi.T
+    order = lox.argsort(kind="stable")
+    ends = lox[order].searchsorted(hix[order], side="right")
+    # sorted edge s pairs with sorted edges s+1 .. ends[s]-1: its last pair,
+    # number cumsum(counts)[s] - 1, with sorted edge ends[s] - 1
     counts = ends - np.arange(1, n + 1)
-    a = np.repeat(np.arange(n), counts)
-    b = a + 1 + (np.arange(a.size) - np.repeat(np.cumsum(counts) - counts, counts))
+    a = np.arange(n).repeat(counts)
+    b = np.arange(a.size) + (ends - counts.cumsum())[a]
     a, b = order[a], order[b]
-    keep = (lo[a, 1] <= hi[b, 1]) & (lo[b, 1] <= hi[a, 1])
+    keep = (loy[a] <= hiy[b]) & (loy[b] <= hiy[a])
     keep &= ((b - a) % n != 1) & ((a - b) % n != 1)
     a, b = a[keep], b[keep]
+    if not a.size:
+        return True  # no candidate pair
     a1, b1 = (a + 1) % n, (b + 1) % n
     # vertex k against edge j: a's endpoints against b, then b's against a
     k = np.concatenate((a, a1, b, b1))
@@ -222,11 +227,11 @@ def is_simple(p: Polygon) -> bool:
     m = a.size
     a_across_b = orient[:m] * orient[m : 2 * m] < 0
     b_across_a = orient[2 * m : 3 * m] * orient[3 * m :] < 0
-    if np.any(a_across_b & b_across_a):
+    if (a_across_b & b_across_a).any():
         return False
     zero = orient == 0
     k, j = k[zero], j[zero]
-    return not bool(np.any(((lo[j] <= pts[k]) & (pts[k] <= hi[j])).all(axis=1)))
+    return not ((lo[j] <= pts[k]) & (pts[k] <= hi[j])).all(axis=1).any()
 
 
 def read_polygon(path) -> Polygon:

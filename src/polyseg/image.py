@@ -61,9 +61,11 @@ def _cell(u, n: int):
     either side of each coordinate (i1 = i0 + 1, or i0 itself on a
     one-sample axis) and t = u - i0, the weight of i1.
     """
-    u = np.clip(u, 0.0, n - 1.0)
-    i0 = np.clip(np.floor(u).astype(np.int64), 0, max(n - 2, 0))
-    return i0, np.minimum(i0 + 1, n - 1), u - i0
+    # bound first, as np.clip orders them: a -0.0 at the bound 0.0 stays -0.0
+    u = np.minimum(n - 1.0, np.maximum(0.0, u))
+    # u >= 0, so the cast floors; a NaN casts below 0 and lands in cell 0
+    i0 = np.minimum(np.maximum(u.astype(np.int64), 0), max(n - 2, 0))
+    return i0, i0 + (n > 1), u - i0
 
 
 def bilinear_sample(img: Image, xs, ys) -> np.ndarray:
@@ -74,9 +76,10 @@ def bilinear_sample(img: Image, xs, ys) -> np.ndarray:
     """
     data = img.data
     h, w = data.shape[:2]
-    x0, x1, tx = _cell(np.atleast_1d(np.asarray(xs, dtype=np.float64)), w)
-    y0, y1, ty = _cell(np.atleast_1d(np.asarray(ys, dtype=np.float64)), h)
+    x0, x1, tx = _cell(np.asarray(xs, dtype=np.float64).reshape(-1), w)
+    y0, y1, ty = _cell(np.asarray(ys, dtype=np.float64).reshape(-1), h)
     tx, ty = tx[:, None], ty[:, None]
-    top = (1.0 - tx) * data[y0, x0] + tx * data[y0, x1]
-    bot = (1.0 - tx) * data[y1, x0] + tx * data[y1, x1]
+    sx = 1.0 - tx
+    top = sx * data[y0, x0] + tx * data[y0, x1]
+    bot = sx * data[y1, x0] + tx * data[y1, x1]
     return (1.0 - ty) * top + ty * bot

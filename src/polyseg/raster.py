@@ -69,14 +69,13 @@ class RegionStats:
             raise EmptyRegion("one side of the segmentation has zero area")
         mu_in = self.s1_in / a_in
         mu_out = self.s1_out / a_out
-        derived = {
-            "mu_in": mu_in,
-            "mu_out": mu_out,
-            "var_in": np.maximum(self.s2_in / a_in - mu_in * mu_in, 0.0),
-            "var_out": np.maximum(self.s2_out / a_out - mu_out * mu_out, 0.0),
-        }
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)  # frozen: set once, here
+        # frozen: the derived fields are set once, here, past __setattr__
+        self.__dict__.update(
+            mu_in=mu_in,
+            mu_out=mu_out,
+            var_in=np.maximum(self.s2_in / a_in - mu_in * mu_in, 0.0),
+            var_out=np.maximum(self.s2_out / a_out - mu_out * mu_out, 0.0),
+        )
 
 
 def rasterize_mask(p: Polygon, width: int, height: int) -> np.ndarray:

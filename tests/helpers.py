@@ -1,5 +1,8 @@
 """Shared fixtures and independent oracles for the test suite."""
 
+import os
+import sys
+
 import numpy as np
 
 import polyseg as ps
@@ -210,6 +213,31 @@ def disk_fixture(noise_sd=0.0, seed=42):
     if noise_sd > 0:
         img = ps.add_gaussian_noise(img, noise_sd, ps.Rng(seed))
     return img
+
+
+def numpy_calls(fn, *args):
+    """(fn(*args), the number of Python-level calls into NumPy's package it made).
+
+    Counted are calls into code that lives in NumPy's package: function
+    wrappers, dispatchers and the helpers behind ndarray methods such as
+    ``.sum()``; ufuncs and C functions make none.  A count, not a time, so
+    it repeats exactly.
+    """
+    numpy_dir = os.path.dirname(np.__file__) + os.sep
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(numpy_dir):
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(previous)
+    return result, calls
 
 
 def supersampled_total(ev, p: ps.Polygon, eta: float) -> float:

@@ -1,6 +1,7 @@
 """The NumPy kernel module and the subsample grid it works on."""
 
 import math
+import warnings
 
 import numpy as np
 
@@ -49,6 +50,23 @@ def test_fill_mask_keeps_parity_past_256_crossings():
         assert mask.dtype == np.uint8
         assert mask.sum() == inside
         assert np.array_equal(mask, brute_force_mask(pts, width, 40))
+
+
+def test_ss_stats_of_a_ring_far_off_the_grid():
+    # vertices 1e25-1e30 px off a 16^2 frame: the right edge crosses every
+    # row right of the last center, the left one left of the first, and no
+    # other edge crosses a row.  Row bounds stay float until a crossing puts
+    # them on the grid; cast to int64 any earlier, 1e30 overflows with a
+    # RuntimeWarning
+    ring = np.array([(-1e30, -1.0), (1e30, -1.0), (1e30, 1e25), (0.0, 1e30), (-1e30, 1e25)])
+    data = np.random.default_rng(5).uniform(0.0, 1.0, (16, 16, 1))
+    tables = backend.cell_tables(data, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        count, s1, s2 = backend.ss_stats(*tables, ring[:, 0], ring[:, 1], 1)
+    n_all, s1_all, s2_all = backend.frame_sums(*tables, 1)
+    assert count == n_all == 256
+    assert np.array_equal(s1, s1_all) and np.array_equal(s2, s2_all)
 
 
 def test_upsample_matches_bilinear_sample():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import polyseg as ps
 import polyseg.evolve
 import polyseg.geometry
-from helpers import hausdorff_to_circle, pentagram, star_polygon
+from helpers import hausdorff_to_circle, numpy_calls, pentagram, star_polygon
 
 
 class TestInitCircle:
@@ -282,6 +282,20 @@ class TestRun:
         assert res.iterations_run == 7
         assert counts == {"stats": 7, "vertex_weights": 0}
 
+    def test_numpy_wrapper_calls_per_iteration(self):
+        # on a few hundred vertices an iteration costs NumPy's Python-level
+        # call overhead more than arithmetic.  NumPy 2.4.6 makes 28 calls per
+        # iteration here (133 before the loop was trimmed); the bound leaves
+        # room for other NumPy releases
+        img = ps.synth_shape("disk", 64, 64, 0.9, 0.1, {"cx": 32, "cy": 32, "r": 20})
+        img = ps.add_gaussian_noise(img, 25.0, ps.Rng(1))
+        cfg = ps.EvolveConfig(n_vertices=40, eta=5e-4, max_iters=30, e_thr=1e-12)
+        p0 = ps.init_circle((32, 32), 24, 40)
+        ps.run(img, p0, cfg)  # NumPy's lazily loaded modules load outside the count
+        res, calls = numpy_calls(ps.run, img, p0, cfg)
+        assert res.iterations_run == 30
+        assert calls / res.iterations_run <= 70
+
     def test_determinism(self, disk_noisy):
         p0 = ps.init_circle((100, 100), 80, 60)
         cfg = ps.EvolveConfig(n_vertices=60, eta=5e-4, max_iters=40)
@@ -486,6 +500,11 @@ class TestEvolveConfig:
             {"max_iters": 2.5},
             {"resample_every": math.nan},
             {"window": math.nan},
+            # a bool is an Integral, but not a count
+            {"n_vertices": True},
+            {"max_iters": True},
+            {"resample_every": True},
+            {"window": True},
         ],
     )
     def test_invalid(self, kwargs):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import polyseg as ps
 from polyseg.geometry import MIN_EDGE_LEN
 
-from helpers import is_simple_table, star_polygon
+from helpers import is_simple_table, numpy_calls, star_polygon
 
 
 def _polygon(points):
@@ -422,6 +422,35 @@ class TestIsSimple:
                         (4.98, -1.76)])
         assert not is_simple_table(p)
         assert ps.is_simple(p)
+
+    @staticmethod
+    def _box_pairs(p):
+        """Non-adjacent edge pairs whose bounding boxes overlap, touching included."""
+        pts = p.points
+        nxt = np.roll(pts, -1, axis=0)
+        lo, hi = np.minimum(pts, nxt), np.maximum(pts, nxt)
+        overlap = ((lo[:, None] <= hi[None]) & (lo[None] <= hi[:, None])).all(axis=2)
+        i, j = np.nonzero(np.triu(overlap, 1))
+        return int(((j - i != 1) & (j - i != len(p) - 1)).sum())
+
+    def test_no_candidate_pair_skips_the_narrow_phase(self):
+        # no two non-adjacent edge boxes of these regular n-gons overlap, so
+        # the broad phase keeps no pair and is_simple answers at once
+        for n in range(4, 1001):
+            p = ps.init_circle((0.0, 0.0), 50.0, n)
+            if n <= 40 or n in (100, 101, 400, 1000):
+                assert self._box_pairs(p) == 0
+            assert ps.is_simple(p) is True
+        # a notch whose two edges' boxes overlap the base edge's box, with
+        # no crossing: the pairs go through the narrow phase, which clears them
+        notch = ps.Polygon([(0, 0), (10, 2), (10, 10), (5, 1.5), (0, 10)])
+        assert self._box_pairs(notch) == 2
+        assert is_simple_table(notch)
+        assert ps.is_simple(notch) is True
+        square = ps.init_circle((0.0, 0.0), 50.0, 4)
+        warm = ps.Polygon(np.roll(notch.points, 1, axis=0))
+        ps.is_simple(warm)  # lazily loaded NumPy code loads outside the counts
+        assert numpy_calls(ps.is_simple, notch)[1] > numpy_calls(ps.is_simple, square)[1]
 
     def test_scales_to_dense_contours(self):
         n = 1600
