@@ -147,8 +147,9 @@ def cell_tables(data: np.ndarray, factor: int):
         # one block for both tables: the allocator hands a single large
         # block back to the OS when it is freed, where smaller ones can
         # stay in the heap and raise the peak RSS of a process that runs
-        # many images
-        tables = np.zeros((2, h, w + 1, c))
+        # many images.  Only column 0 is zeroed; the sums fill the rest.
+        tables = np.empty((2, h, w + 1, c))
+        tables[:, :, 0] = 0.0
         np.cumsum(data, axis=1, out=tables[0, :, 1:])
         np.multiply(data, data, out=tables[1, :, 1:])
         np.cumsum(tables[1, :, 1:], axis=1, out=tables[1, :, 1:])

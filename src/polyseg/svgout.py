@@ -3,7 +3,8 @@
 Overlays are SVG 1.1 documents in pixel-center coordinates (viewBox starts
 at -0.5 so pixel (0, 0) spans [-0.5, 0.5]^2) containing one <image> for the
 raster background and one <polyline> per curve.  The raster is embedded as
-a base64 PPM data URI (:func:`data_uri`) or referenced by path.
+a base64 data URI of its binary PGM or PPM file bytes (:func:`data_uri`)
+or referenced by path.
 """
 
 import base64
@@ -12,7 +13,7 @@ import numpy as np
 
 from .evolve import TraceRow
 from .geometry import Polygon
-from .image import GRAY, Image
+from .image import Image
 from .imageio import _pnm_bytes, quantize8
 
 
@@ -22,15 +23,16 @@ def _points_attr(p: Polygon) -> str:
 
 
 def data_uri(img: Image) -> str:
-    """The raster as a base64 PPM data URI, for the href of its overlays.
+    """The raster as a base64 data URI, for the href of its overlays.
 
-    Gray samples are copied into three channels, so every raster is a PPM.
+    The payload is the file :func:`~polyseg.imageio.write_pnm` writes for
+    img: a P5 graymap for one channel, a P6 pixmap for three, with the
+    matching MIME type.
     """
     quant = quantize8(img.data)
-    if img.colorspace == GRAY:
-        quant = np.repeat(quant, 3, axis=2)
+    kind = "graymap" if quant.shape[2] == 1 else "pixmap"
     b64 = base64.b64encode(_pnm_bytes(quant)).decode("ascii")
-    return f"data:image/x-portable-pixmap;base64,{b64}"
+    return f"data:image/x-portable-{kind};base64,{b64}"
 
 
 def overlay_svg(img: Image, curves: list, href: str) -> str:

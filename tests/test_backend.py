@@ -4,6 +4,7 @@ import math
 import warnings
 
 import numpy as np
+import pytest
 
 import polyseg as ps
 from polyseg import backend
@@ -67,6 +68,29 @@ def test_ss_stats_of_a_ring_far_off_the_grid():
     n_all, s1_all, s2_all = backend.frame_sums(*tables, 1)
     assert count == n_all == 256
     assert np.array_equal(s1, s1_all) and np.array_equal(s2, s2_all)
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+def test_factor_one_tables_match_zeroed_reference(monkeypatch, channels):
+    # the tables come from uninitialised memory: poisoned with NaN here, so
+    # a cell that the build does not write shows
+    data = np.random.default_rng(channels).uniform(0.0, 1.0, (24, 17, channels))
+    ref = np.zeros((2, 24, 18, channels))
+    np.cumsum(data, axis=1, out=ref[0, :, 1:])
+    np.cumsum(data * data, axis=1, out=ref[1, :, 1:])
+
+    class PoisonedNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def empty(shape, *args, **kwargs):
+            return np.full(shape, np.nan, *args, **kwargs)
+
+    monkeypatch.setattr(backend, "np", PoisonedNumpy())
+    prefix1, prefix2 = backend.cell_tables(data, 1)
+    assert prefix1.tobytes() == ref[0].tobytes()
+    assert prefix2.tobytes() == ref[1].tobytes()
 
 
 def test_upsample_matches_bilinear_sample():

@@ -196,7 +196,14 @@ class TestSegment:
         poly = ps.read_polygon(out / "final_polygon.txt")
         assert len(poly) == 60
 
-    def test_overlay_svg_structure(self, disk_pgm, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("mode", ["gray", "rgb", "lab"])
+    def test_overlay_svg_structure(self, disk_pgm, tmp_path, monkeypatch, mode):
+        path = disk_pgm
+        if mode != "gray":
+            # the disk as a PPM whose three channels differ
+            v = ps.read_pnm(disk_pgm).data
+            path = tmp_path / "disk.ppm"
+            ps.write_pnm(ps.Image(np.concatenate((v, 1.0 - v, 0.5 * v), axis=2), ps.RGB), path)
         encoded = []
         encode = polyseg.imageio._pnm_bytes
 
@@ -208,7 +215,7 @@ class TestSegment:
         for module in (polyseg.imageio, polyseg.svgout):
             monkeypatch.setattr(module, "_pnm_bytes", counting_pnm_bytes)
         out = tmp_path / "run"
-        rc = main(segment_args(disk_pgm, out, extra=["--snapshot-every", "20"]))
+        rc = main(segment_args(path, out, extra=["--mode", mode, "--snapshot-every", "20"]))
         assert rc == 0
         root = ET.parse(out / "overlay.svg").getroot()
         polylines = root.findall(".//{http://www.w3.org/2000/svg}polyline")
@@ -220,28 +227,37 @@ class TestSegment:
             snap_root = ET.parse(snap).getroot()
             assert len(snap_root.findall(".//{http://www.w3.org/2000/svg}polyline")) == 1
             assert snap_root.find(SVG_IMAGE).get(XLINK_HREF) == href
-        # the mask as a PGM, and one raster encoding serves every overlay
-        assert sorted(encoded) == [1, 3]
+        # the mask as a PGM, and one encoding of the input's own channels
+        # serves every overlay
+        assert sorted(encoded) == ([1, 1] if mode == "gray" else [1, 3])
 
-    @pytest.mark.parametrize("channels", [1, 3])
-    def test_overlay_embeds_quantized_input(self, tmp_path, channels):
+    @pytest.mark.parametrize("mode", ["gray", "rgb", "lab"])
+    def test_overlay_embeds_quantized_input(self, tmp_path, mode):
+        channels = 1 if mode == "gray" else 3
         rng = np.random.default_rng(channels)
         data = rng.uniform(-0.1, 1.1, (40, 50, channels))
         img = ps.Image(np.clip(data, 0, 1), ps.GRAY if channels == 1 else ps.RGB)
         path = tmp_path / ("in.pgm" if channels == 1 else "in.ppm")
         ps.write_pnm(img, path)
         out = tmp_path / "run"
-        rc = main(["segment", "--input", str(path), "--mode",
-                   "gray" if channels == 1 else "rgb", "--init-circle", "25,20,12",
-                   "--iters", "3", "--vertices", "20", "--out", str(out)])
+        rc = main(["segment", "--input", str(path), "--mode", mode,
+                   "--init-circle", "25,20,12", "--iters", "3", "--vertices", "20",
+                   "--out", str(out)])
         assert rc == 0
         root = ET.parse(out / "overlay.svg").getroot()
         href = root.find(SVG_IMAGE).get(XLINK_HREF)
-        prefix = "data:image/x-portable-pixmap;base64,"
+        # the overlay embeds the input's own channels: a graymap for a PGM
+        kind = "graymap" if channels == 1 else "pixmap"
+        prefix = f"data:image/x-portable-{kind};base64,"
         assert href.startswith(prefix)
         quant = np.array([[[min(255, max(0, round(v * 255))) for v in px] for px in row]
                           for row in ps.read_pnm(path).data], dtype=np.uint8)
-        expected = b"P6\n50 40\n255\n" + np.repeat(quant, 3 // channels, axis=2).tobytes()
+        magic = b"P5" if channels == 1 else b"P6"
+        expected = magic + b"\n50 40\n255\n" + quant.tobytes()
+        # byte for byte the file write_pnm writes for the raw input
+        rewritten = tmp_path / ("raw.pgm" if channels == 1 else "raw.ppm")
+        ps.write_pnm(ps.read_pnm(path), rewritten)
+        assert rewritten.read_bytes() == expected
         assert base64.b64decode(href[len(prefix):]) == expected
 
     def test_peak_memory_of_run_and_outputs(self, tmp_path):

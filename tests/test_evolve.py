@@ -508,8 +508,12 @@ class TestEvolveConfig:
         ],
     )
     def test_invalid(self, kwargs):
-        # the message names the rejected field
-        with pytest.raises(ValueError, match=next(iter(kwargs))):
+        # the message names the rejected field; a count that is not an int
+        # is refused for its type, not for its value
+        (name, value), = kwargs.items()
+        counts = ("n_vertices", "max_iters", "resample_every", "window")
+        wrong_type = name in counts and type(value) is not int
+        with pytest.raises(ValueError, match=f"{name} must be an integer" if wrong_type else name):
             ps.EvolveConfig(**kwargs)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
