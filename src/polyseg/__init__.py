@@ -4,12 +4,13 @@ The contour is an explicit closed polygon evolved by gradient descent on
 the per-vertex shape gradient of a normalized two-region energy -- no level
 sets, no curve parametrization.  Region statistics come from one path,
 ``SupersampledEvaluator``, which sums row prefix sums at the polygon's
-scanline crossings; its NumPy kernels live in ``polyseg.backend``.  Each
-derived quantity has one owner: a ``RegionStats`` carries the region means
-and variances and rejects an empty side, and a ``Polygon`` carries its
-``edges`` and edge ``lengths``.  ``supersampled_energy`` turns an
-evaluator's statistics into an energy, and ``bilinear_sample`` and the
-supersampled evaluator share one cell rule.
+scanline crossings; its NumPy kernels, and the moment array they return,
+live in ``polyseg.backend``.  Each derived quantity has one owner: a
+``RegionStats`` carries the region means and variances and rejects an
+empty side, and a ``Polygon`` carries its ``edges`` and edge ``lengths``.
+``breakdown_from_stats`` turns an evaluator's statistics into an energy,
+and ``bilinear_sample`` and the supersampled evaluator share one cell
+rule.
 """
 
 from .backend import BACKEND
@@ -18,10 +19,8 @@ from .energy import (
     EnergyBreakdown,
     GradientField,
     breakdown_from_stats,
-    energy,
     region_shape_gradient,
     shape_gradient,
-    supersampled_energy,
 )
 from .errors import (
     BadParams,
@@ -88,7 +87,6 @@ __all__ = [
     "breakdown_from_stats",
     "converged",
     "discrete_curvature",
-    "energy",
     "ensure_ccw",
     "init_circle",
     "is_simple",
@@ -104,7 +102,6 @@ __all__ = [
     "shape_gradient",
     "srgb_to_lab",
     "step",
-    "supersampled_energy",
     "synth_shape",
     "to_gray",
     "vertex_weights",

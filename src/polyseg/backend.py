@@ -13,9 +13,18 @@ Every polygon-to-region computation goes through one crossing rule:
 * Crossing coordinates are computed as
   ``x1 + (y - y1) * (x2 - x1) / (y2 - y1)``.
 
+Region sums are moment arrays.  The piecewise-constant energy needs three
+moments of a region per channel: its sample count, and the sums of f and
+of f^2 (Vese & Chan, IJCV 2002).  With C channels they are one
+moment-major array of 1+2C rows: row 0 the count, rows 1..C the sums of
+f, rows C+1..2C the sums of f^2.  :func:`edge_sums` returns one column
+per edge, (1+2C, m); :func:`ss_stats` and :func:`frame_sums` return one
+(1+2C,) vector.  Each row is reduced on its own, so every moment is
+summed in the same order whatever C is.
+
 :func:`fill_mask` counts crossings and keeps their parity (even-odd).
 :func:`edge_sums` is the one reduction of crossings into region sums: it
-adds their signs, each crossing's prefix sums under its sign, per edge.
+adds each crossing's column and prefix sums under its sign, per edge.
 Summed over a ring's edges, which is all :func:`ss_stats` does, each
 sample counts with its winding number, taken with the ring's orientation:
 the discrete Green's theorem behind summed-area tables (Crow, SIGGRAPH
@@ -35,7 +44,7 @@ read are built here alone: :func:`cell_tables` builds O(H*W) tables at
 every factor, plain row prefix sums at factor 1.  Above it no subsample
 field exists, and each crossing costs a closed-form blend of two pixel
 rows (see :func:`_crossing_values`).  :func:`frame_sums` reads the whole
-frame's sums from the tables' last column, with no crossing pass: a
+frame's moments from the tables' last column, with no crossing pass: a
 summed-area table holds its totals in its last entries.
 """
 
@@ -163,23 +172,21 @@ def cell_tables(data: np.ndarray, factor: int):
     tables[:, :, 2] = pad[:, :-1]
     np.subtract(pad[:, 1:], pad[:, :-1], out=tables[:, :, 3])
 
-    def cumulate(out, first):
-        """Column 0 takes off the left half cell; column J+1 adds cell J."""
-        np.multiply(first, -half, out=out[:, 0])
+    # sum over cell J of a*b with a, b linear from (a0, b0) to (a1, b1):
+    # half*(a0*b1 + a1*b0) + sq*(a1-a0)*(b1-b0).  Column 0 takes off the
+    # left half cell; column J+1 adds cell J.  A is the sum of a*1.  The
+    # cell sums are built in a contiguous array and stored once: in-place
+    # arithmetic on a strided column of the tables costs several times more
+    def products(b, out):
+        cell = pad[:, :-2] * b[:, 1:-1]
+        cell += pad[:, 1:-1] * b[:, :-2]
+        cell *= half
+        cell += sq * tables[:, :-1, 3] * (b[:, 1:-1] - b[:, :-2])
+        out[:, 1:] = cell
+        np.multiply(pad[:, 0] * b[:, 0], -half, out=out[:, 0])
         np.cumsum(out, axis=1, out=out)
 
-    # sum over cell J of a*b with a, b linear from (a0, b0) to (a1, b1):
-    # half*(a0*b1 + a1*b0) + sq*(a1-a0)*(b1-b0)
-    def products(b, out):
-        np.multiply(pad[:, :-2], b[:, 1:-1], out=out[:, 1:])
-        out[:, 1:] += pad[:, 1:-1] * b[:, :-2]
-        out[:, 1:] *= half
-        out[:, 1:] += sq * tables[:, :-1, 3] * (b[:, 1:-1] - b[:, :-2])
-        cumulate(out, pad[:, 0] * b[:, 0])
-
-    np.add(pad[:, :-2], pad[:, 1:-1], out=tables[:, 1:, 0])
-    tables[:, 1:, 0] *= half
-    cumulate(tables[:, :, 0], pad[:, 0])
+    products(np.broadcast_to(1.0, pad.shape), tables[:, :, 0])
     products(pad, tables[:, :, 1])
     products(nxt, cross)
     return tables, cross
@@ -245,48 +252,48 @@ def _blend(prefix1, prefix2, rows, cols, factor: int):
 
 
 def edge_sums(prefix1: np.ndarray, prefix2: np.ndarray, x1, y1, x2, y2, factor: int):
-    """Signed sums of each edge's crossings: the one reduction of crossings.
+    """Signed moments of each edge's crossings: the one reduction of crossings.
 
     Edge k runs from (x1[k], y1[k]) to (x2[k], y2[k]); the tables are those
-    of :func:`_crossing_values`.  Each crossing adds sign * col to its
-    edge's sample count and sign * prefix[row, col] to its moments.
-    Returns (count, s1, s2) of shapes (m,), (m, C) and (m, C).  Summed over
-    the edges of a ring they give that ring's signed sums (see
-    :func:`ss_stats`), so two rings that share all but a few edges differ
-    by those edges' sums alone.  A call is O(crossings * C), with no sort.
+    of :func:`_crossing_values`.  Each crossing adds its moments under its
+    sign to its edge's column.  Returns the (1+2C, m) moment array (see
+    the module docstring) of the m edges.  Summed over the edges of a ring
+    they give that ring's signed moments (see :func:`ss_stats`), so two
+    rings that share all but a few edges differ by those edges' sums
+    alone.  A call is O(crossings * C), with no sort.
     """
     h, wcols = prefix1.shape[:2]
     c = prefix1.shape[-1]
     m = len(x1)
     rows, cols, sign, edge = _crossings(x1, y1, x2, y2, factor, h * factor, factor * (wcols - 1))
     v1, v2 = _crossing_values(prefix1, prefix2, rows, cols, factor)
-    # column j of an edge's sums adds value j of its crossings under their
-    # signs, in crossing order: the col, then f and f^2 sums per channel
-    sums = np.empty((m, 1 + 2 * c))
-    for j, values in enumerate((cols, *v1.T, *v2.T)):
-        sums[:, j] = np.bincount(edge, weights=sign * values, minlength=m)
-    return sums[:, 0], sums[:, 1 : 1 + c], sums[:, 1 + c :]
+    values = np.empty((1 + 2 * c, rows.size))
+    values[0], values[1 : 1 + c], values[1 + c :] = cols, v1.T, v2.T
+    values *= sign
+    # bin j*m + k gathers moment j of edge k, its crossings added in order
+    bins = edge + m * np.arange(1 + 2 * c)[:, None]
+    sums = np.bincount(bins.ravel(), weights=values.ravel(), minlength=(1 + 2 * c) * m)
+    return sums.reshape(1 + 2 * c, m)
 
 
 def ss_stats(prefix1: np.ndarray, prefix2: np.ndarray, xs, ys, factor: int):
-    """Signed region sums of the closed polygon with these vertices.
+    """Signed moments of the closed polygon with these vertices.
 
-    The sums over the edges of :func:`edge_sums` on the polygon's ring.
-    Returns (n_samples, s1, s2) in sample units, on the grid described in
-    :func:`_crossings`: positive for a counter-clockwise ring (positive
+    The sums over the edges of :func:`edge_sums` on the polygon's ring: a
+    (1+2C,) moment vector in sample units, on the grid described in
+    :func:`_crossings`.  Positive for a counter-clockwise ring (positive
     shoelace area in pixel coordinates), their negatives for a clockwise
     one.  Samples count with their winding number (see the module
     docstring).
     """
-    count, s1, s2 = edge_sums(prefix1, prefix2, *_ring(xs, ys), factor)
-    return float(count.sum()), s1.sum(axis=0), s2.sum(axis=0)
+    return edge_sums(prefix1, prefix2, *_ring(xs, ys), factor).sum(axis=1)
 
 
 def frame_sums(prefix1: np.ndarray, prefix2: np.ndarray, factor: int):
-    """(n_samples, s1, s2) of the whole sample grid, from the tables alone.
+    """The (1+2C,) moment vector of the whole sample grid, from the tables alone.
 
-    Each sample row's sums are the :func:`_crossing_values` right of its
-    last sample, read from column W of the tables; no crossing pass is
+    Each sample row's moments are the :func:`_crossing_values` right of
+    its last sample, read from column W of the tables; no crossing pass is
     made.  The rows are added in order by a sequential ``cumsum``, as
     :func:`edge_sums` adds an edge's crossings, so the totals equal those
     of :func:`ss_stats` on a ring around the frame to the bit, where a
@@ -294,4 +301,4 @@ def frame_sums(prefix1: np.ndarray, prefix2: np.ndarray, factor: int):
     """
     hs, ws = prefix1.shape[0] * factor, factor * (prefix1.shape[1] - 1)
     v1, v2 = _crossing_values(prefix1, prefix2, np.arange(hs), np.full(hs, ws), factor)
-    return float(hs * ws), np.cumsum(v1, axis=0)[-1], np.cumsum(v2, axis=0)[-1]
+    return np.concatenate(([hs * ws], v1.cumsum(axis=0)[-1], v2.cumsum(axis=0)[-1]))

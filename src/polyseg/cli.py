@@ -128,16 +128,10 @@ def _load_for_mode(path: str, mode: str):
     """Returns (image used for segmentation, raw image for overlays)."""
     raw = read_pnm(path)
     if mode == "gray":
-        work = to_gray(raw) if raw.colorspace == RGB else raw
-    elif mode == "rgb":
-        if raw.colorspace != RGB:
-            raise PolysegError("--mode rgb requires a PPM (color) input")
-        work = raw
-    else:  # lab
-        if raw.colorspace != RGB:
-            raise PolysegError("--mode lab requires a PPM (color) input")
-        work = srgb_to_lab(raw)
-    return work, raw
+        return (to_gray(raw) if raw.colorspace == RGB else raw), raw
+    if raw.colorspace != RGB:
+        raise PolysegError(f"--mode {mode} requires a PPM (color) input")
+    return (srgb_to_lab(raw) if mode == "lab" else raw), raw
 
 
 def _cmd_segment(args) -> int:

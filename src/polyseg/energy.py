@@ -17,18 +17,22 @@ and the length term contributes eta * curvature.  Region means, variances
 and areas are fields of the :class:`~polyseg.raster.RegionStats` that
 ``SupersampledEvaluator(img, 1)`` returns, the same exact pixel statistics
 the evolution loop uses, so the gradient matches the energy actually
-reported and descended.  The evolution loop calls
-:func:`breakdown_from_stats` once per iteration, on the ``RegionStats`` it
-reuses for the gradient; the gradient check once, on the batch of all its
-moved polygons from ``SupersampledEvaluator.moved_stats``.  Elsewhere
-:func:`supersampled_energy` builds every :class:`EnergyBreakdown`.
+reported and descended.  They are derived from the region moment array
+that the ``polyseg.backend`` docstring describes.
+
+:func:`breakdown_from_stats` is the one path from statistics to an
+energy: ``breakdown_from_stats(ev.stats(p), polygon_perimeter(p), eta)``
+for one polygon.  The evolution loop calls it once per iteration, on the
+``RegionStats`` it reuses for the gradient; the gradient check once, on
+the batch of all its moved polygons from
+``SupersampledEvaluator.moved_stats``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Polygon, discrete_curvature, outward_normals, polygon_perimeter
+from .geometry import Polygon, discrete_curvature, outward_normals
 from .image import Image, bilinear_sample
 from .raster import RegionStats, SupersampledEvaluator
 
@@ -56,28 +60,6 @@ def breakdown_from_stats(stats: RegionStats, perimeter, eta: float) -> EnergyBre
     e1 = stats.var_in.sum(axis=-1)
     e2 = stats.var_out.sum(axis=-1)
     return EnergyBreakdown(e1=e1, e2=e2, e3=perimeter, total=e1 + e2 + eta * perimeter)
-
-
-def energy(img: Image, p: Polygon, eta: float) -> EnergyBreakdown:
-    """Evaluate the segmentation energy of a polygon over an image.
-
-    e1/e2 are the per-channel inside/outside variances summed over
-    channels; e3 is the polygon perimeter in pixels.
-    """
-    return supersampled_energy(SupersampledEvaluator(img, 1), p, eta)
-
-
-def supersampled_energy(ev: SupersampledEvaluator, p: Polygon, eta: float) -> EnergyBreakdown:
-    """Energy of a polygon from the region statistics of an evaluator.
-
-    At factor 1 this is :func:`energy`.  At factors 2-16 each subsample
-    carries the bilinearly interpolated intensity and contributes
-    fractionally to the region moments, which gives the smooth energy of
-    the gradient check.  The evaluator's set-up is O(H*W) at every factor
-    and builds no subsample field; each scanline crossing costs a
-    closed-form blend of two pixel rows.
-    """
-    return breakdown_from_stats(ev.stats(p), polygon_perimeter(p), eta)
 
 
 def region_shape_gradient(img: Image, stats: RegionStats, points: np.ndarray) -> np.ndarray:

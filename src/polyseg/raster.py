@@ -15,7 +15,9 @@ the fractional ones of the gradient check.  Its set-up is two calls into
 subsample field) and reads the frame totals from them without a crossing
 pass.  Each scanline crossing costs a closed-form blend of two pixel
 rows, and each copy of a polygon with one vertex moved costs only the
-crossings of its two new edges.  A :class:`RegionStats` derives the
+crossings of its two new edges.  Region sums arrive as the moment array
+that the ``polyseg.backend`` docstring describes, and are sliced into a
+:class:`RegionStats` in one place.  A :class:`RegionStats` derives the
 region means and variances itself and is the one place that rejects an
 empty side.  :func:`rasterize_mask` selects the same pixels as an
 explicit mask; it gives the mask of a run's final polygon, which
@@ -124,7 +126,7 @@ class SupersampledEvaluator:
     above factor 1 as a blend of two pixel rows, without touching the
     frame.  :meth:`stats` and :meth:`moved_stats` each make one
     crossing pass, ``backend.edge_sums`` (whose ring form is
-    ``backend.ss_stats``), and share one orientation flip.
+    ``backend.ss_stats``), and share one orientation flip and one scale.
     """
 
     FACTORS = (1, 2, 4, 8, 16)
@@ -136,7 +138,7 @@ class SupersampledEvaluator:
             raise ValueError(f"factor must be one of {self.FACTORS}")
         self.factor = factor
         self._prefix1, self._prefix2 = tables = backend.cell_tables(img.data, factor)
-        self._total_sub, self._s1_all, self._s2_all = backend.frame_sums(*tables, factor)
+        self._frame = backend.frame_sums(*tables, factor)
 
     def stats(self, p: Polygon) -> RegionStats:
         """RegionStats of the polygon, in pixel-area units.
@@ -146,7 +148,7 @@ class SupersampledEvaluator:
         EmptyRegion
             If either side of the polygon holds no sample.
         """
-        return self._region_stats(*backend.ss_stats(
+        return self._region_stats(backend.ss_stats(
             self._prefix1, self._prefix2, p.points[:, 0], p.points[:, 1], self.factor
         ))
 
@@ -184,26 +186,32 @@ class SupersampledEvaluator:
         start = np.concatenate((pts, np.hstack((prev, points)).reshape(-1, 2)))
         end = np.concatenate((pts[1:], pts[:1], np.hstack((points, nxt)).reshape(-1, 2)))
         sums = backend.edge_sums(self._prefix1, self._prefix2, *start.T, *end.T, self.factor)
-        return self._region_stats(*(
-            v[:n].sum(axis=0) - (v[:n][index - 1] + v[index]) + (v[n::2] + v[n + 1::2])
-            for v in sums
-        ))
+        own = sums[:, :n]
+        return self._region_stats((
+            own.sum(axis=1)[:, None] - (own[:, index - 1] + own[:, index])
+            + (sums[:, n::2] + sums[:, n + 1::2])
+        ).T)
 
-    def _region_stats(self, nsub, s1: np.ndarray, s2: np.ndarray) -> RegionStats:
-        """RegionStats from signed inside sums in sample units, of one polygon or many.
+    def _region_stats(self, inside: np.ndarray) -> RegionStats:
+        """RegionStats from signed inside moments in sample units, of one polygon or many.
 
-        The sums of a clockwise polygon are the negatives of those of its
-        counter-clockwise copy, so each polygon's are taken under the sign
-        of its count: the one orientation flip of the package.
+        ``inside`` holds ``backend``'s moments along its last axis: (1+2C,)
+        for one polygon, (k, 1+2C) for k.  The moments of a clockwise
+        polygon are the negatives of those of its counter-clockwise copy,
+        so each polygon's are taken under the sign of its count: the one
+        orientation flip of the package.
         """
-        sign = np.copysign(1.0, nsub)
-        nsub, s1, s2 = sign * nsub, sign[..., None] * s1, sign[..., None] * s2
+        inside = np.copysign(1.0, inside[..., :1]) * inside
         inv = 1.0 / (self.factor * self.factor)
+        outside = (self._frame - inside) * inv
+        inside = inside * inv
+        c = len(self._frame) // 2
+        # .T[0] is a float for one polygon and (k,) for k
         return RegionStats(
-            area_in=nsub * inv,
-            area_out=(self._total_sub - nsub) * inv,
-            s1_in=s1 * inv,
-            s1_out=(self._s1_all - s1) * inv,
-            s2_in=s2 * inv,
-            s2_out=(self._s2_all - s2) * inv,
+            area_in=inside.T[0],
+            area_out=outside.T[0],
+            s1_in=inside[..., 1 : 1 + c],
+            s1_out=outside[..., 1 : 1 + c],
+            s2_in=inside[..., 1 + c :],
+            s2_out=outside[..., 1 + c :],
         )

@@ -240,9 +240,9 @@ def numpy_calls(fn, *args):
     return result, calls
 
 
-def supersampled_total(ev, p: ps.Polygon, eta: float) -> float:
-    """Total energy from a SupersampledEvaluator's fractional stats."""
-    return ps.supersampled_energy(ev, p, eta).total
+def polygon_energy(ev, p: ps.Polygon, eta: float) -> ps.EnergyBreakdown:
+    """EnergyBreakdown of one polygon from a SupersampledEvaluator's stats."""
+    return ps.breakdown_from_stats(ev.stats(p), ps.polygon_perimeter(p), eta)
 
 
 def upsample_bilinear(data: np.ndarray, factor: int, out: np.ndarray) -> None:
@@ -355,9 +355,9 @@ def gradcheck_table(img: ps.Image, p: ps.Polygon, eta: float, factor: int = 16,
                     h: float = 0.25, gate: float = 1e-4, threshold: float = 0.1) -> str:
     """The stdout of ``polyseg gradcheck``, one whole-polygon energy per move.
 
-    The former body of ``cli._cmd_gradcheck``, kept as the oracle of its
-    moved-edge evaluation: each of the 2n central-difference energies comes
-    from ``supersampled_energy`` on the moved polygon built in full.
+    The oracle of the command's moved-edge evaluation: each of the 2n
+    central-difference energies comes from :func:`polygon_energy` on the
+    moved polygon built in full.
     """
     g = ps.shape_gradient(img, p, eta)
     analytic = g.speeds * ps.vertex_weights(p)
@@ -370,7 +370,7 @@ def gradcheck_table(img: ps.Image, p: ps.Polygon, eta: float, factor: int = 16,
         for sign in (+1.0, -1.0):
             pts = p.points.copy()
             pts[i] += sign * h * nrm
-            fd_vals.append(ps.supersampled_energy(ev, ps.Polygon(pts), eta).total)
+            fd_vals.append(polygon_energy(ev, ps.Polygon(pts), eta).total)
         fd = (fd_vals[0] - fd_vals[1]) / (2.0 * h)
         if abs(analytic[i]) > gate:
             rel = abs(analytic[i] - fd) / abs(analytic[i])

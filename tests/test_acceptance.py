@@ -17,8 +17,8 @@ from helpers import (
     disk_fixture,
     hausdorff_to_circle,
     lab_scalar,
+    polygon_energy,
     star_polygon,
-    supersampled_total,
 )
 
 
@@ -47,8 +47,8 @@ def test_01_gradient_correctness():
             minus = p.points.copy()
             minus[i] -= h * g.normals[i]
             fd = (
-                supersampled_total(ev, ps.Polygon(plus), eta)
-                - supersampled_total(ev, ps.Polygon(minus), eta)
+                polygon_energy(ev, ps.Polygon(plus), eta).total
+                - polygon_energy(ev, ps.Polygon(minus), eta).total
             ) / (2 * h)
             rel = abs(analytic[i] - fd) / abs(analytic[i])
             worst = max(worst, rel)

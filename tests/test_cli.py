@@ -454,6 +454,16 @@ class TestSegment:
         assert rc == 1
         assert "--mode rgb requires a PPM (color) input" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["rgb", "lab"])
+    def test_color_modes_name_the_missing_color(self, disk_pgm, tmp_path, capsys, mode):
+        rc = main([
+            "segment", "--input", str(disk_pgm), "--mode", mode,
+            "--init-circle", "60,60,40", "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"polyseg: error: --mode {mode} requires a PPM (color) input\n"
+
     def test_rgb_mode_runs(self, tmp_path):
         rgb = np.full((80, 80, 3), 0.2)
         rgb[20:60, 20:60, 0] = 0.9

@@ -70,3 +70,24 @@ def test_tracer_records_the_loop_stages(worker, tmp_path, capsys):
         assert summary.get(name, {}).get("calls", 0) > 0, name
     assert summary["evolve.run"]["calls"] == 1
     assert summary["raster.SupersampledEvaluator.stats"]["calls"] == 12
+
+
+def test_gradcheck_evaluates_the_whole_polygon_once(worker, tmp_path, capsys):
+    # the tier-1 twin of the CI step "Gradient check whole-polygon
+    # evaluations": README's clean gradcheck makes one whole-polygon stats
+    # call (the analytic one) and one batched energy for its moves, and
+    # builds no moved polygon whose perimeter it would take
+    tracer_mod = sys.modules[worker.Tracer.__module__]
+    clean = str(tmp_path / "clean.pgm")
+    assert cli.main(["synth", "--kind", "disk", "--width", "200", "--height", "200",
+                     "--fg", "0.9", "--bg", "0.1", "--cx", "100", "--cy", "100", "--r", "60",
+                     "--out", clean]) == 0
+    tracer = tracer_mod.Tracer()
+    with tracer:
+        rc = cli.main(["gradcheck", "--input", clean, "--init-circle", "100,100,70",
+                       "--eta", "1e-3"])
+    assert rc == 0, capsys.readouterr().err
+    names = [span[0] for span in tracer.spans]
+    assert names.count("backend.ss_stats") == 1
+    assert names.count("energy.breakdown_from_stats") == 1
+    assert names.count("geometry.polygon_perimeter") == 0

@@ -13,6 +13,7 @@ from helpers import (
     brute_force_mask,
     full_field_stats,
     naive_region_sums,
+    polygon_energy,
     region_stats,
     star_polygon,
     wide_crossing_values,
@@ -175,17 +176,11 @@ class TestRegionStats:
 
 
 class TestSupersampled:
-    def test_factor_one_degenerates_to_energy(self, blob64):
-        p = star_polygon(1, n=25, center=(32, 32), r_mean=14)
-        a = ps.supersampled_energy(ps.SupersampledEvaluator(blob64, 1), p, 0.07)
-        b = ps.energy(blob64, p, 0.07)
-        assert (a.e1, a.e2, a.e3, a.total) == (b.e1, b.e2, b.e3, b.total)
-
     @pytest.mark.parametrize("factor", [2, 4, 8, 16])
     def test_constant_image_zero_variance(self, factor):
         img = ps.Image(np.full((24, 24), 0.4), ps.GRAY)
         p = ps.init_circle((12, 12), 8, 20)
-        eb = ps.supersampled_energy(ps.SupersampledEvaluator(img, factor), p, 0.1)
+        eb = polygon_energy(ps.SupersampledEvaluator(img, factor), p, 0.1)
         assert eb.e1 < 1e-12 and eb.e2 < 1e-12
         assert eb.total == pytest.approx(0.1 * ps.polygon_perimeter(p))
 
@@ -199,7 +194,7 @@ class TestSupersampled:
         img = ps.synth_shape("disk", W, H, A, B, {"cx": 64, "cy": 64, "r": Rd})
         rc = 30.0
         p = ps.init_circle((64, 64), rc, 256)
-        eb = ps.supersampled_energy(ps.SupersampledEvaluator(img, 16), p, 0.0)
+        eb = polygon_energy(ps.SupersampledEvaluator(img, 16), p, 0.0)
         a1 = math.pi * (Rd**2 - rc**2)
         a2 = W * H - math.pi * Rd**2
         mu = (A * a1 + B * a2) / (a1 + a2)
@@ -221,11 +216,9 @@ class TestSupersampled:
         data = rng.uniform(0, 1, (32, 32, 3))
         img = ps.Image(data, ps.RGB)
         p = ps.init_circle((16, 16), 10, 40)
-        stacked = ps.supersampled_energy(ps.SupersampledEvaluator(img, 8), p, 0.05)
+        stacked = polygon_energy(ps.SupersampledEvaluator(img, 8), p, 0.05)
         parts = [
-            ps.supersampled_energy(
-                ps.SupersampledEvaluator(ps.Image(data[:, :, c], ps.GRAY), 8), p, 0.0
-            )
+            polygon_energy(ps.SupersampledEvaluator(ps.Image(data[:, :, c], ps.GRAY), 8), p, 0.0)
             for c in range(3)
         ]
         assert stacked.e1 == pytest.approx(sum(x.e1 for x in parts), abs=1e-12)
@@ -505,19 +498,17 @@ class TestSetUp:
         data = np.random.default_rng(channels).uniform(0, 1, (h, w, channels))
         ev = ps.SupersampledEvaluator(ps.Image(data, ps.GRAY if channels == 1 else ps.RGB), factor)
         assert len(calls) == 0
-        assert ev._total_sub == factor * factor * h * w
+        assert ev._frame.shape == (1 + 2 * channels,)
+        assert ev._frame[0] == factor * factor * h * w
         # the same bits as a crossing pass around a ring outside the frame
         ring = polyseg.backend.ss_stats(
             ev._prefix1, ev._prefix2, [-1, w, w, -1], [-1, -1, h, h], factor
         )
-        for got, want in zip((ev._total_sub, ev._s1_all, ev._s2_all), ring):
-            assert np.array_equal(got, want)
+        assert np.array_equal(ev._frame, ring)
         if factor == 1:  # the samples are the pixels: the totals are their sums
             flat = data.reshape(-1, channels)
-            sums = (flat.sum(axis=0), (flat * flat).sum(axis=0))
-            for got, want in zip((ev._s1_all, ev._s2_all), sums):
-                assert got.shape == (channels,)
-                np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+            sums = np.concatenate((flat.sum(axis=0), (flat * flat).sum(axis=0)))
+            np.testing.assert_allclose(ev._frame[1:], sums, rtol=1e-13, atol=0)
 
 
 # one evaluator per (channels, factor) on the FIELDS images
